@@ -197,16 +197,14 @@ def search(
         log, activity_level, activity_hierarchy, attribute_hierarchies, selected
     )
     depths = [attribute_hierarchies[attr].depth for attr in selected]
-    chosen_levels: tuple[int, ...] | None = None
-    for vector in _ascending_vectors(depths):
+    for chosen_levels in _ascending_vectors(depths):
         nodes += 1
-        if evaluator.ok(vector, k):
-            chosen_levels = vector
+        if evaluator.ok(chosen_levels, k):
             break
-    assert chosen_levels is not None, (
-        "unreachable: with every attribute fully generalized the classes "
-        "coincide with the control-flow classes of phase 1"
-    )
+    else:
+        # With every attribute fully generalized the classes coincide with
+        # the control-flow classes of phase 1, so the top node satisfies k.
+        raise AssertionError("internal error: no lattice node satisfies k")
 
     maxed_out = bool(selected) and list(chosen_levels) == depths
     if maxed_out:

@@ -5,8 +5,9 @@ Commands cover the individual pipeline stages (``preprocess``,
 the end-to-end ``anonymize`` run driven by a YAML configuration.
 
 Exit codes: 0 success, 1 failed validation, 2 configuration or usage
-error, 3 input parse error, 4 privacy requirement unsatisfiable
-(fewer traces than k), 5 I/O failure.
+error, 3 input parse error or input that does not fit the hierarchies
+or arguments, 4 privacy requirement unsatisfiable (fewer traces than
+k), 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,6 +28,7 @@ from .errors import (
     InsufficientTraces,
     IoFailure,
     ParseError,
+    UnknownAttribute,
 )
 from .hierarchy import Hierarchy
 from .logio import (
@@ -48,10 +49,8 @@ from .metrics import (
     remaining_variants,
 )
 from .model import WILDCARD, EventLog, drop_singleton_variants, validate_k, variants
-from .selection import select
-from .vectorize import vectorize_msa, vectorize_naive
-
-THREADS_ENV = "PMDG_THREADS"
+from .selection import UTILITY_NOTIONS, select
+from .vectorize import STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -174,9 +173,7 @@ def run_pipeline(
     timings["read_preprocess"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    vectorized = (
-        vectorize_msa(log) if config.vectorization == "msa" else vectorize_naive(log)
-    )
+    vectorized = STRATEGIES[config.vectorization](log)
     timings["vectorize"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("vectorize", help="pad traces to a uniform length")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--strategy", choices=("naive", "msa"), default="msa")
+    p.add_argument("--strategy", choices=STRATEGIES, default="msa")
     _add_csv_options(p)
 
     p = commands.add_parser(
@@ -310,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--candidates", required=True, help="comma-separated hierarchy CSV paths"
     )
-    p.add_argument("--notion", choices=("class_count", "size_balance"),
-                   default="class_count")
+    p.add_argument("--notion", choices=UTILITY_NOTIONS, default="class_count")
     p.add_argument("--weights", default="1",
                    help="comma-separated per-level weights (default: 1)")
     _add_csv_options(p)
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", choices=("occurrences", "pairs"),
                    default="occurrences")
     p.add_argument(
-        "--strategy", choices=("naive", "msa"), default="msa",
+        "--strategy", choices=STRATEGIES, default="msa",
         help="vectorization strategy the anonymized log was built with",
     )
     _add_csv_options(p)
@@ -364,22 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be at least 1, got {value}")
-    return value
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    _threads_from_env()
-
     if args.command == "anonymize":
         config = load_config(args.config)
         manifest = run_pipeline(
@@ -404,17 +385,24 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "vectorize":
         log = _read_log(args.input, spec, wildcard)
-        vectorized = vectorize_msa(log) if args.strategy == "msa" else vectorize_naive(log)
+        vectorized = STRATEGIES[args.strategy](log)
         write_log_csv(vectorized, args.output, spec, wildcard=wildcard)
         print(f"aligned {len(vectorized.traces)} traces to length "
               f"{len(vectorized.traces[0])}")
         return 0
 
     if args.command == "select-hierarchy":
+        paths = [c.strip() for c in args.candidates.split(",") if c.strip()]
+        if not paths:
+            raise ConfigError("--candidates names no hierarchy file")
+        try:
+            weights = tuple(float(w) for w in args.weights.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--weights must be comma-separated numbers, got {args.weights!r}"
+            ) from None
         log = _read_log(args.input, spec, wildcard)
         attribute = None if args.perspective == "activity" else args.perspective
-        paths = [c.strip() for c in args.candidates.split(",") if c.strip()]
-        weights = tuple(float(w) for w in args.weights.split(","))
         candidates = [
             Hierarchy(read_hierarchy(path, wildcard=wildcard), attribute=attribute)
             for path in paths
@@ -427,10 +415,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "validate":
+        if args.k < 1:
+            raise ConfigError(f"k must be at least 1, got {args.k}")
         log = _read_log(args.input, spec, wildcard)
         selected: list[str] = []
         for chunk in args.attr:
             selected.extend(a.strip() for a in chunk.split(",") if a.strip())
+        for attr in selected:
+            if attr not in log.schema:
+                raise UnknownAttribute(f"log has no attribute {attr!r}")
         report = validate_k(log, selected, args.k)
         if report.ok:
             print(f"OK: every class has at least {args.k} members "
@@ -464,9 +457,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             # Serialized logs lose the origin linkage of fully masked
             # events, so match by column against a fresh (deterministic)
             # vectorization of the original instead.
-            vectorized = (
-                vectorize_msa(log) if args.strategy == "msa" else vectorize_naive(log)
-            )
+            vectorized = STRATEGIES[args.strategy](log)
             pairs = collect_handover_pairs_by_column(vectorized, anonymized, args.attr)
             value = handover_precision_from_pairs(
                 pairs, hierarchy, aggregate=args.aggregate

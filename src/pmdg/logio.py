@@ -32,13 +32,13 @@ from .errors import (
     MalformedXml,
     MissingColumn,
     MissingConceptName,
+    ParseError,
     RaggedRow,
 )
 from .hierarchy import HierarchyTable, validate_table
 from .model import MISSING, WILDCARD, Event, EventLog, Trace, wildcard_event
-
-VECTORIZATION_STRATEGIES = ("naive", "msa")
-UTILITY_NOTIONS = ("class_count", "size_balance")
+from .selection import UTILITY_NOTIONS
+from .vectorize import STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,12 @@ class LogCsvSpec:
     activity_column: str = "activity"
     attribute_columns: tuple[str, ...] | None = None
     delimiter: str = ","
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(
+                f"delimiter must be a single character, got {self.delimiter!r}"
+            )
 
     def resolve_attributes(self, header: Sequence[str]) -> tuple[str, ...]:
         """Attribute columns, defaulting to every non-key header column."""
@@ -87,6 +93,8 @@ def read_log_csv(
             rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
 
     for column in (spec.case_column, spec.activity_column):
         if column not in header:
@@ -260,6 +268,8 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
             ]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
         return validate_table(rows)
     except Exception as exc:
@@ -297,6 +307,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
     _require(isinstance(raw, dict), f"{path}: top level must be a mapping")
     known = {
         "k",
@@ -314,7 +326,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
 
     k = raw.get("k")
-    _require(isinstance(k, int) and k >= 1, f"{path}: k must be an integer >= 1")
+    _require(
+        isinstance(k, int) and not isinstance(k, bool) and k >= 1,
+        f"{path}: k must be an integer >= 1",
+    )
 
     def _as_paths(value, label: str) -> tuple[str, ...]:
         if isinstance(value, str):
@@ -351,8 +366,8 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     vectorization = raw.get("vectorization", "msa")
     _require(
-        vectorization in VECTORIZATION_STRATEGIES,
-        f"{path}: vectorization must be one of {VECTORIZATION_STRATEGIES}",
+        isinstance(vectorization, str) and vectorization in STRATEGIES,
+        f"{path}: vectorization must be one of {tuple(STRATEGIES)}",
     )
     notion = raw.get("utility_notion", "class_count")
     _require(

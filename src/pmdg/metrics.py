@@ -64,8 +64,6 @@ class HandoverPair:
 
     original: tuple[str, str]
     generalized: tuple[str, str]
-    case_id: str | None = None
-    position: int | None = None
 
 
 def handover_graph(log: EventLog, attribute: str) -> HandoverGraph:
@@ -150,8 +148,6 @@ def collect_handover_pairs(
                         located[0].attributes[attribute],
                         located[1].attributes[attribute],
                     ),
-                    case_id=trace.case_id,
-                    position=index,
                 )
             )
     return pairs
@@ -197,7 +193,7 @@ def collect_handover_pairs_by_column(
             for position, event in enumerate(trace.events)
             if not event.is_wildcard
         ]
-        for index, (first, second) in enumerate(zip(columns, columns[1:])):
+        for first, second in zip(columns, columns[1:]):
             pairs.append(
                 HandoverPair(
                     original=(
@@ -208,8 +204,6 @@ def collect_handover_pairs_by_column(
                         image.events[first].attributes[attribute],
                         image.events[second].attributes[attribute],
                     ),
-                    case_id=trace.case_id,
-                    position=index,
                 )
             )
     return pairs

@@ -68,9 +68,6 @@ class Event:
             and all(v == WILDCARD for v in self.attributes.values())
         )
 
-    def value_of(self, attribute: str) -> str:
-        return self.attributes[attribute]
-
 
 def wildcard_event(schema: Sequence[str]) -> Event:
     """Build the padding event for the given attribute schema."""

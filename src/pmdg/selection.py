@@ -32,6 +32,7 @@ from .errors import UnknownAttribute
 from .hierarchy import Hierarchy, validate_table
 from .model import WILDCARD, EventLog, control_flow
 
+UTILITY_NOTIONS = ("class_count", "size_balance")
 SYNTACTIC_SCHEMES = ("token_suffix_drop", "token_prefix_drop", "char_suffix_mask")
 
 

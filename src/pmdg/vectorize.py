@@ -14,6 +14,8 @@ Two strategies are provided:
   column profile), inserting gaps mid-trace so shared activities end up
   in shared columns.
 
+``STRATEGIES`` maps each strategy's configuration name to its function.
+
 Alignment scoring maximizes the number of matching symbol pairs and
 breaks ties toward fewer output columns.  The wildcard symbol matches
 nothing, not even itself: padding carries no evidence that two traces
@@ -30,7 +32,7 @@ origin-indexed events reproduces the input trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptyLog
 from .model import WILDCARD, Event, EventLog, Trace, control_flow, wildcard_event
@@ -59,47 +61,16 @@ def align_pair(a: Sequence[str], b: Sequence[str]) -> AlignmentColumnMap:
     Maximizes matches, then minimizes the number of output columns
     (equivalently: prefers pairing symbols in one column over two
     gap columns, even when they differ).  Ties beyond that are broken by
-    a fixed move preference, so the result is deterministic.
+    a fixed move preference, so the result is deterministic.  This is
+    the progressive-alignment step of :func:`vectorize_msa` applied to
+    a profile holding ``b`` alone.
     """
-    n, m = len(a), len(b)
-    # dp[i][j] = best (matches, paired-columns) for a[:i] vs b[:j].
-    dp = [[(0, 0)] * (m + 1) for _ in range(n + 1)]
-    back = [[_UP] * (m + 1) for _ in range(n + 1)]
-    for j in range(1, m + 1):
-        back[0][j] = _LEFT
-    for i in range(1, n + 1):
-        for j in range(0, m + 1):
-            best = (dp[i - 1][j], _UP)  # gap in b
-            if j > 0:
-                mi, di = dp[i - 1][j - 1]
-                diag = ((mi + _match(a[i - 1], b[j - 1]), di + 1), _DIAG)
-                if diag[0] > best[0]:
-                    best = diag
-                left = (dp[i][j - 1], _LEFT)  # gap in a
-                if left[0] > best[0]:
-                    best = left
-            dp[i][j], back[i][j] = best
-
-    pa: list[int] = []
-    pb: list[int] = []
-    i, j, column = n, m, 0
-    moves: list[int] = []
-    while i > 0 or j > 0:
-        move = back[i][j]
-        moves.append(move)
-        if move == _DIAG:
-            i, j = i - 1, j - 1
-        elif move == _UP:
-            i -= 1
-        else:
-            j -= 1
-    for move in reversed(moves):
-        if move != _LEFT:
-            pa.append(column)
-        if move != _UP:
-            pb.append(column)
-        column += 1
-    return AlignmentColumnMap(positions=(tuple(pa), tuple(pb)), aligned_length=column)
+    profile = _align_to_profile([{0: symbol} for symbol in b], 1, tuple(a))
+    positions = tuple(
+        tuple(j for j, column in enumerate(profile) if member in column)
+        for member in (1, 0)
+    )
+    return AlignmentColumnMap(positions=positions, aligned_length=len(profile))
 
 
 def _assign_origin(event: Event, position: int) -> Event:
@@ -108,21 +79,30 @@ def _assign_origin(event: Event, position: int) -> Event:
     return Event(event.activity, dict(event.attributes), origin_index=position)
 
 
+def _place(
+    log: EventLog, width: int, slots_of: Callable[[Trace], Sequence[int]]
+) -> EventLog:
+    """Put each trace's events into its columns ``slots_of(trace)`` and
+    fill the other columns of the ``width`` with wildcard padding."""
+    padding = wildcard_event(log.schema)
+    traces = []
+    for trace in log.traces:
+        events = [padding] * width
+        slots = slots_of(trace)
+        for position, event in enumerate(trace.events):
+            events[slots[position]] = (
+                event if event.is_wildcard else _assign_origin(event, position)
+            )
+        traces.append(Trace(case_id=trace.case_id, events=tuple(events)))
+    return EventLog(schema=log.schema, traces=tuple(traces))
+
+
 def vectorize_naive(log: EventLog) -> EventLog:
     """Pad every trace with trailing wildcard events up to the longest one."""
     if not log.traces:
         raise EmptyLog("cannot vectorize an empty log")
     width = max(len(trace) for trace in log.traces)
-    padding = wildcard_event(log.schema)
-    traces = []
-    for trace in log.traces:
-        events = [
-            event if event.is_wildcard else _assign_origin(event, position)
-            for position, event in enumerate(trace.events)
-        ]
-        events.extend([padding] * (width - len(events)))
-        traces.append(Trace(case_id=trace.case_id, events=tuple(events)))
-    return EventLog(schema=log.schema, traces=tuple(traces))
+    return _place(log, width, lambda trace: range(len(trace)))
 
 
 def _align_to_profile(
@@ -199,18 +179,14 @@ def vectorize_msa(log: EventLog) -> EventLog:
         flow = control_flow(trace)
         counts[flow] = counts.get(flow, 0) + 1
     order = sorted(counts, key=lambda flow: (-counts[flow], flow))
-    index = {flow: rank for rank, flow in enumerate(order)}
 
-    if len(order) == 1:
-        center = 0
-    else:
-        matches = [[0] * len(order) for _ in order]
-        for x in range(len(order)):
-            for y in range(x + 1, len(order)):
-                dp_x, dp_y = order[x], order[y]
-                score = _pair_matches(dp_x, dp_y)
-                matches[x][y] = matches[y][x] = score
-        center = max(range(len(order)), key=lambda v: (sum(matches[v]), -v))
+    totals = [0] * len(order)
+    for x in range(len(order)):
+        for y in range(x + 1, len(order)):
+            score = _pair_matches(order[x], order[y])
+            totals[x] += score
+            totals[y] += score
+    center = max(range(len(order)), key=lambda v: (totals[v], -v))
 
     profile: list[dict[int, str]] = [{center: symbol} for symbol in order[center]]
     for rank, flow in enumerate(order):
@@ -218,28 +194,11 @@ def vectorize_msa(log: EventLog) -> EventLog:
             continue
         profile = _align_to_profile(profile, rank, flow)
 
-    columns: dict[int, tuple[int, ...]] = {
-        rank: tuple(j for j, column in enumerate(profile) if rank in column)
-        for rank in range(len(order))
+    columns = {
+        flow: tuple(j for j, column in enumerate(profile) if rank in column)
+        for rank, flow in enumerate(order)
     }
-    width = len(profile)
-    padding = wildcard_event(log.schema)
-    traces = []
-    for trace in log.traces:
-        slots = columns[index[control_flow(trace)]]
-        events: list[Event] = []
-        pointer = 0
-        for j in range(width):
-            if pointer < len(slots) and slots[pointer] == j:
-                event = trace.events[pointer]
-                events.append(
-                    event if event.is_wildcard else _assign_origin(event, pointer)
-                )
-                pointer += 1
-            else:
-                events.append(padding)
-        traces.append(Trace(case_id=trace.case_id, events=tuple(events)))
-    return EventLog(schema=log.schema, traces=tuple(traces))
+    return _place(log, len(profile), lambda trace: columns[control_flow(trace)])
 
 
 def _pair_matches(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -256,3 +215,9 @@ def _pair_matches(a: tuple[str, ...], b: tuple[str, ...]) -> int:
             )
         previous = current
     return previous[m]
+
+
+STRATEGIES: dict[str, Callable[[EventLog], EventLog]] = {
+    "naive": vectorize_naive,
+    "msa": vectorize_msa,
+}

@@ -28,19 +28,23 @@ ACTIVITY_H = (
 ROLE_H = "Admin,Admin,⋆\nGP,Medical Staff,⋆\nCA,Medical Staff,⋆\n"
 
 
+def _config_text(workdir, k="2", extra=""):
+    return (
+        f"k: {k}\n"
+        "quasi_identifiers: [role]\n"
+        f"activity_hierarchies: [{workdir / 'act.csv'}]\n"
+        "attribute_hierarchies:\n"
+        f"  role: [{workdir / 'role.csv'}]\n"
+        f"{extra}"
+    )
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "log.csv").write_text(CLINIC_CSV, encoding="utf-8")
     (tmp_path / "act.csv").write_text(ACTIVITY_H, encoding="utf-8")
     (tmp_path / "role.csv").write_text(ROLE_H, encoding="utf-8")
-    (tmp_path / "config.yaml").write_text(
-        "k: 2\n"
-        "quasi_identifiers: [role]\n"
-        f"activity_hierarchies: [{tmp_path / 'act.csv'}]\n"
-        "attribute_hierarchies:\n"
-        f"  role: [{tmp_path / 'role.csv'}]\n",
-        encoding="utf-8",
-    )
+    (tmp_path / "config.yaml").write_text(_config_text(tmp_path), encoding="utf-8")
     return tmp_path
 
 
@@ -211,10 +215,60 @@ def test_wildcard_literal_flag(workdir, tmp_path):
     assert "*" in text and "⋆" not in text
 
 
-def test_threads_env_is_validated(workdir, tmp_path, monkeypatch):
-    monkeypatch.setenv("PMDG_THREADS", "not-a-number")
-    assert main(["metrics", "variants", "--in", str(workdir / "log.csv")]) == 2
-    monkeypatch.setenv("PMDG_THREADS", "0")
-    assert main(["metrics", "variants", "--in", str(workdir / "log.csv")]) == 2
-    monkeypatch.setenv("PMDG_THREADS", "4")
-    assert main(["metrics", "variants", "--in", str(workdir / "log.csv")]) == 0
+MALFORMED_INPUTS = [
+    ("validate-k-zero", ["validate", "--in", "{log}", "--k", "0"], 2),
+    ("validate-unknown-attr",
+     ["validate", "--in", "{log}", "--k", "1", "--attr", "ghost"], 3),
+    ("select-bad-weights",
+     ["select-hierarchy", "--in", "{log}", "--perspective", "role",
+      "--candidates", "{role}", "--weights", "a"], 2),
+    ("select-no-candidates",
+     ["select-hierarchy", "--in", "{log}", "--perspective", "role",
+      "--candidates", ","], 2),
+    ("log-not-utf8", ["metrics", "variants", "--in", "{latin1_log}"], 3),
+    ("hierarchy-not-utf8",
+     ["select-hierarchy", "--in", "{log}", "--perspective", "role",
+      "--candidates", "{latin1_hierarchy}"], 3),
+    ("config-not-utf8",
+     ["anonymize", "--config", "{latin1_config}", "--in", "{log}", "--out", "{out}"], 2),
+    ("delimiter-flag", ["metrics", "variants", "--in", "{log}", "--delimiter", ";;"], 2),
+    ("delimiter-config",
+     ["anonymize", "--config", "{delimiter_config}", "--in", "{log}", "--out", "{out}"],
+     2),
+    ("k-true-config",
+     ["anonymize", "--config", "{bool_k_config}", "--in", "{log}", "--out", "{out}"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [row[1:] for row in MALFORMED_INPUTS],
+    ids=[row[0] for row in MALFORMED_INPUTS],
+)
+def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
+    (workdir / "latin1_log.csv").write_bytes(b"case,activity,role\n1,Caf\xe9,GP\n")
+    (workdir / "latin1_hierarchy.csv").write_bytes(b"Admin,Adm\xefn,*\n")
+    (workdir / "latin1_config.yaml").write_bytes(b"k: 2\n# caf\xe9\n")
+    (workdir / "delimiter_config.yaml").write_text(
+        _config_text(workdir, extra='csv:\n  delimiter: ";;"\n'), encoding="utf-8"
+    )
+    (workdir / "bool_k_config.yaml").write_text(
+        _config_text(workdir, k="true"), encoding="utf-8"
+    )
+    paths = {
+        name: str(workdir / file)
+        for name, file in {
+            "log": "log.csv",
+            "role": "role.csv",
+            "out": "out.csv",
+            "latin1_log": "latin1_log.csv",
+            "latin1_hierarchy": "latin1_hierarchy.csv",
+            "latin1_config": "latin1_config.yaml",
+            "delimiter_config": "delimiter_config.yaml",
+            "bool_k_config": "bool_k_config.yaml",
+        }.items()
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.startswith("pmdg: ") and err.count("\n") == 1
+    assert "Traceback" not in err

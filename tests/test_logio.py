@@ -252,6 +252,7 @@ csv:
         "k: 2\nactivity_hierarchies: []\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nquasi_identifiers: [role]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nvectorization: fancy\n",
+        "k: 2\nvectorization: [msa]\nactivity_hierarchies: [a.csv]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nutility_notion: vibes\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [-1]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: []\n",

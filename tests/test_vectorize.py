@@ -77,7 +77,7 @@ def test_align_pair_wildcard_never_matches():
 
 def test_align_pair_matches_oracle_on_random_sequences():
     rng = random.Random(5)
-    alphabet = ["A", "B", "C", "D"]
+    alphabet = ["A", "B", "C", "D", WILDCARD]
     for _ in range(200):
         a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
         b = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
