@@ -40,14 +40,7 @@ from .logio import (
     read_log_xes,
     write_log_csv,
 )
-from .metrics import (
-    collect_handover_pairs_by_column,
-    export_dot,
-    handover_graph,
-    handover_precision,
-    handover_precision_from_pairs,
-    remaining_variants,
-)
+from .metrics import export_dot, handover_graph, handover_precision, remaining_variants
 from .model import WILDCARD, EventLog, drop_singleton_variants, validate_k, variants
 from .selection import UTILITY_NOTIONS, select
 from .vectorize import STRATEGIES
@@ -207,18 +200,33 @@ def run_pipeline(
     started = time.perf_counter()
     precision = {
         attr: round(
-            handover_precision(log, result.anonymized, attr, attribute_hierarchies[attr]),
+            handover_precision(
+                vectorized, result.anonymized, attr, attribute_hierarchies[attr]
+            ),
             9,
         )
         for attr in config.quasi_identifiers
     }
+    variants_input = len(variants(log))
+    variants_output = remaining_variants(result.anonymized)
+    timings["metrics"] = time.perf_counter() - started
+
+    # Hash the input before writing, in case the output overwrites it.
+    input_sha256 = _sha256_file(input_path)
+    if output_path is not None:
+        started = time.perf_counter()
+        write_log_csv(
+            result.anonymized, output_path, config.csv, wildcard=config.wildcard
+        )
+        timings["write"] = time.perf_counter() - started
+
     histogram: dict[int, int] = {}
     for size in result.class_sizes:
         histogram[size] = histogram.get(size, 0) + 1
     manifest = RunManifest(
         tool_version=f"pmdg {__version__}",
         input_path=str(input_path),
-        input_sha256=_sha256_file(input_path),
+        input_sha256=input_sha256,
         config_sha256=_sha256_config(config),
         k=k,
         vectorization=config.vectorization,
@@ -231,8 +239,8 @@ def run_pipeline(
         chosen_hierarchies=chosen_paths,
         levels=result.chosen.as_dict(),
         nodes_evaluated=result.nodes_evaluated,
-        variants_input=len(variants(log)),
-        variants_output=remaining_variants(result.anonymized),
+        variants_input=variants_input,
+        variants_output=variants_output,
         min_class_size=min(result.class_sizes),
         class_size_histogram=[
             [size, count] for size, count in sorted(histogram.items())
@@ -240,12 +248,6 @@ def run_pipeline(
         handover_precision=precision,
         timings_s=timings,
     )
-    timings["metrics"] = time.perf_counter() - started
-
-    if output_path is not None:
-        write_log_csv(
-            result.anonymized, output_path, config.csv, wildcard=config.wildcard
-        )
     if report_path is not None:
         Path(report_path).write_text(manifest.to_json() + "\n", encoding="utf-8")
     return manifest
@@ -454,13 +456,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             hierarchy = Hierarchy(
                 read_hierarchy(args.hierarchy, wildcard=wildcard), attribute=args.attr
             )
-            # Serialized logs lose the origin linkage of fully masked
-            # events, so match by column against a fresh (deterministic)
-            # vectorization of the original instead.
+            # A re-read file turns fully masked events into padding, so
+            # match by column against a fresh (deterministic)
+            # vectorization of the original.
             vectorized = STRATEGIES[args.strategy](log)
-            pairs = collect_handover_pairs_by_column(vectorized, anonymized, args.attr)
-            value = handover_precision_from_pairs(
-                pairs, hierarchy, aggregate=args.aggregate
+            value = handover_precision(
+                vectorized, anonymized, args.attr, hierarchy, aggregate=args.aggregate
             )
             print(f"{value:.1f}")
             return 0

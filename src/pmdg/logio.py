@@ -55,6 +55,9 @@ class LogCsvSpec:
             raise ConfigError(
                 f"delimiter must be a single character, got {self.delimiter!r}"
             )
+        columns = self.attribute_columns
+        if columns is not None and len(set(columns)) != len(columns):
+            raise ConfigError(f"attribute columns repeat a name: {list(columns)}")
 
     def resolve_attributes(self, header: Sequence[str]) -> tuple[str, ...]:
         """Attribute columns, defaulting to every non-key header column."""
@@ -96,6 +99,8 @@ def read_log_csv(
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
 
+    if len(set(header)) != len(header):
+        raise ParseError(f"{path}: header repeats a column name: {header}")
     for column in (spec.case_column, spec.activity_column):
         if column not in header:
             raise MissingColumn(f"{path}: header has no column {column!r}")
@@ -147,7 +152,8 @@ def write_log_csv(
     Reading the file back reproduces the log exactly, with one caveat:
     origin linkage is positional, so an event that generalization masked
     completely (all cells ``⋆``) reads back as an inserted wildcard
-    event.  Compute linkage-based metrics before serializing such logs.
+    event.  Its column survives, so handover precision of a re-read log
+    needs the vectorized original, which is matched by column.
     """
     spec = spec or LogCsvSpec()
     columns = spec.attribute_columns or log.schema
@@ -188,8 +194,9 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     attribute keys over all events, in order of first appearance; events
     that lack a key get ``⊥``.  Non-string attributes (timestamps,
     numbers, nested containers) are ignored.  Traces without events are
-    skipped.  Case ids come from the trace-level ``concept:name``,
-    deduplicated positionally when a file reuses one.
+    skipped.  Case ids come from the trace-level ``concept:name``; a
+    reused one gets the first free ``~2``, ``~3``, ... suffix that no
+    trace in the file already uses.
     """
     try:
         tree = ElementTree.parse(path)
@@ -231,12 +238,18 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
         if events:
             parsed.append((case_id, events))
 
-    seen: dict[str, int] = {}
+    taken = {case_id for case_id, _ in parsed}
+    last_suffix: dict[str, int] = {}
     traces = []
     for case_id, events in parsed:
-        seen[case_id] = seen.get(case_id, 0) + 1
-        if seen[case_id] > 1:
-            case_id = f"{case_id}~{seen[case_id]}"
+        if case_id in last_suffix:
+            suffix = last_suffix[case_id] + 1
+            while f"{case_id}~{suffix}" in taken:
+                suffix += 1
+            last_suffix[case_id] = suffix
+            case_id = f"{case_id}~{suffix}"
+        else:
+            last_suffix[case_id] = 1
         built = [
             Event(
                 _canonical(activity, wildcard),
@@ -378,7 +391,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     _require(
         isinstance(weights_raw, list)
         and weights_raw
-        and all(isinstance(w, (int, float)) and w >= 0 for w in weights_raw),
+        and all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0
+            for w in weights_raw
+        ),
         f"{path}: level_weights must be a non-empty list of non-negative numbers",
     )
     drop = raw.get("drop_singletons", False)

@@ -21,9 +21,10 @@ Two views of how much analysis value survives anonymization:
   ``handover_precision`` averages this over a whole log pair and scales
   to a percentage.
 
-Matching generalized events to their originals relies on the
-``origin_index`` linkage established by vectorization; logs lacking it
-raise :class:`LinkageBroken`.
+Generalized events are matched to their originals by column, or by
+order among the non-padding events when the original is the narrower
+pre-vectorization log (see :func:`collect_handover_pairs`); a case or
+event count that cannot be matched raises :class:`LinkageBroken`.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import IoFailure, LinkageBroken, UnknownAttribute
 from .hierarchy import Hierarchy
-from .model import WILDCARD, EventLog, Trace, variants
+from .model import WILDCARD, EventLog, variants
 
 
 def remaining_variants(log: EventLog) -> int:
@@ -57,8 +58,7 @@ class HandoverGraph:
         return self.edges.get((source, target), 0)
 
 
-@dataclass(frozen=True)
-class HandoverPair:
+class HandoverPair(NamedTuple):
     """One handover observation: the attribute values of two consecutive
     events, before and after generalization."""
 
@@ -98,25 +98,26 @@ def handover_preservation(pair: HandoverPair, hierarchy: Hierarchy) -> float:
     ) / 2.0
 
 
-def _origin_map(trace: Trace) -> dict[int, int]:
-    mapping: dict[int, int] = {}
-    for position, event in enumerate(trace.events):
-        if event.origin_index is not None:
-            mapping[event.origin_index] = position
-    return mapping
-
-
 def collect_handover_pairs(
     original: EventLog,
     anonymized: EventLog,
     attribute: str,
 ) -> list[HandoverPair]:
     """Pair up every consecutive-event handover of the original log with
-    its image in the anonymized log, following the origin linkage.
+    its image in the anonymized log.
 
-    Raises :class:`LinkageBroken` when a case or an event image cannot
-    be located — typically because the anonymized log was serialized
-    after full masking, which is positional and loses linkage.
+    Cases are matched by id and events by column.  When the original
+    trace is as wide as its image (the vectorized log, or a trace that
+    filled every column), an original event's image is the anonymized
+    event in the same column — a padding event there means it was
+    masked.  Otherwise the original's real events map, in order, onto
+    the image's non-padding events; this holds for the pre-vectorization
+    log against the in-memory anonymized log, where masked events keep
+    their ``origin_index`` and so are not padding.
+
+    Raises :class:`LinkageBroken` when a case is missing or the event
+    counts differ — e.g. a pre-vectorization log against a re-read file,
+    where fully masked events came back as padding.
     """
     if attribute not in original.schema:
         raise UnknownAttribute(f"original log has no attribute {attribute!r}")
@@ -128,111 +129,30 @@ def collect_handover_pairs(
         image = images.get(trace.case_id)
         if image is None:
             raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
-        positions = _origin_map(image)
-        real = [e for e in trace.events if not e.is_wildcard]
-        for index, (first, second) in enumerate(zip(real, real[1:])):
-            located = []
-            for offset, event in ((index, first), (index + 1, second)):
-                origin = event.origin_index if event.origin_index is not None else offset
-                where = positions.get(origin)
-                if where is None:
-                    raise LinkageBroken(
-                        f"case {trace.case_id!r}: no event with origin {origin} "
-                        "in the anonymized log"
-                    )
-                located.append(image.events[where])
-            pairs.append(
-                HandoverPair(
-                    original=(first.attributes[attribute], second.attributes[attribute]),
-                    generalized=(
-                        located[0].attributes[attribute],
-                        located[1].attributes[attribute],
-                    ),
+        if len(image.events) == len(trace.events):
+            matched = [
+                (event, image.events[column])
+                for column, event in enumerate(trace.events)
+                if not event.is_wildcard
+            ]
+        else:
+            real = [e for e in trace.events if not e.is_wildcard]
+            shown = [e for e in image.events if not e.is_wildcard]
+            if len(real) != len(shown):
+                raise LinkageBroken(
+                    f"case {trace.case_id!r}: {len(real)} original events but "
+                    f"{len(shown)} non-padding events in the anonymized log"
                 )
-            )
-    return pairs
-
-
-def collect_handover_pairs_by_column(
-    vectorized_original: EventLog,
-    anonymized: EventLog,
-    attribute: str,
-) -> list[HandoverPair]:
-    """Origin-free variant of :func:`collect_handover_pairs` for logs
-    re-read from files.
-
-    Serializing a log keeps every event in its column but drops the
-    origin linkage of fully masked events, so matching by origin fails
-    exactly where masking happened.  Column positions survive the round
-    trip: given the original log re-vectorized with the same (fully
-    deterministic) strategy the anonymized log was built from, the image
-    of an original event is simply the anonymized event in the same
-    column — a padding event there means the original was masked to the
-    wildcard.  Traces are matched by case id and must have equal widths;
-    a mismatch means the strategies differ and raises
-    :class:`LinkageBroken`.
-    """
-    if attribute not in vectorized_original.schema:
-        raise UnknownAttribute(f"original log has no attribute {attribute!r}")
-    if attribute not in anonymized.schema:
-        raise UnknownAttribute(f"anonymized log has no attribute {attribute!r}")
-    images = {trace.case_id: trace for trace in anonymized.traces}
-    pairs: list[HandoverPair] = []
-    for trace in vectorized_original.traces:
-        image = images.get(trace.case_id)
-        if image is None:
-            raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
-        if len(image.events) != len(trace.events):
-            raise LinkageBroken(
-                f"case {trace.case_id!r}: anonymized trace has "
-                f"{len(image.events)} columns, expected {len(trace.events)}; "
-                "was it vectorized with a different strategy?"
-            )
-        columns = [
-            position
-            for position, event in enumerate(trace.events)
-            if not event.is_wildcard
+            matched = list(zip(real, shown))
+        values = [
+            (event.attributes[attribute], image_event.attributes[attribute])
+            for event, image_event in matched
         ]
-        for first, second in zip(columns, columns[1:]):
-            pairs.append(
-                HandoverPair(
-                    original=(
-                        trace.events[first].attributes[attribute],
-                        trace.events[second].attributes[attribute],
-                    ),
-                    generalized=(
-                        image.events[first].attributes[attribute],
-                        image.events[second].attributes[attribute],
-                    ),
-                )
-            )
+        pairs.extend(
+            HandoverPair((first[0], second[0]), (first[1], second[1]))
+            for first, second in zip(values, values[1:])
+        )
     return pairs
-
-
-def handover_precision_from_pairs(
-    pairs: list[HandoverPair],
-    hierarchy: Hierarchy,
-    aggregate: str = "occurrences",
-) -> float:
-    """Aggregate preservation scores into a percentage.
-
-    ``aggregate="occurrences"`` weighs every observed handover equally;
-    ``aggregate="pairs"`` averages over distinct (original, generalized)
-    value-pair combinations instead, so frequent handovers do not
-    dominate.  No handovers at all scores 100.0: nothing existed to lose.
-    """
-    if aggregate == "pairs":
-        unique = {(p.original, p.generalized) for p in pairs}
-        scores = [
-            handover_preservation(HandoverPair(o, g), hierarchy) for o, g in sorted(unique)
-        ]
-    elif aggregate == "occurrences":
-        scores = [handover_preservation(p, hierarchy) for p in pairs]
-    else:
-        raise ValueError(f"unknown aggregate {aggregate!r}")
-    if not scores:
-        return 100.0
-    return 100.0 * sum(scores) / len(scores)
 
 
 def handover_precision(
@@ -244,12 +164,25 @@ def handover_precision(
 ) -> float:
     """Average handover preservation over a log pair, as a percentage.
 
-    ``original`` is the pre-vectorization log; images in ``anonymized``
-    are located through the origin linkage (see
-    :func:`collect_handover_pairs`).
+    Pairs come from :func:`collect_handover_pairs`, so ``original`` may
+    be the pre-vectorization log or its vectorization.
+    ``aggregate="occurrences"`` weighs every observed handover equally;
+    ``aggregate="pairs"`` averages over distinct (original, generalized)
+    value-pair combinations instead, so frequent handovers do not
+    dominate.  No handovers at all scores 100.0: nothing existed to lose.
     """
-    pairs = collect_handover_pairs(original, anonymized, attribute)
-    return handover_precision_from_pairs(pairs, hierarchy, aggregate)
+    if aggregate not in ("occurrences", "pairs"):
+        raise ValueError(f"unknown aggregate {aggregate!r}")
+    counts = Counter(collect_handover_pairs(original, anonymized, attribute))
+    if not counts:
+        return 100.0
+    total = weight = 0.0
+    for pair, count in sorted(counts.items()):
+        if aggregate == "pairs":
+            count = 1
+        total += count * handover_preservation(pair, hierarchy)
+        weight += count
+    return 100.0 * total / weight
 
 
 def _quote(name: str) -> str:

@@ -237,6 +237,12 @@ MALFORMED_INPUTS = [
      2),
     ("k-true-config",
      ["anonymize", "--config", "{bool_k_config}", "--in", "{log}", "--out", "{out}"], 2),
+    ("duplicate-header", ["metrics", "variants", "--in", "{dup_header_log}"], 3),
+    ("duplicate-columns-flag",
+     ["metrics", "variants", "--in", "{log}", "--columns", "role,role"], 2),
+    ("duplicate-columns-config",
+     ["anonymize", "--config", "{dup_columns_config}", "--in", "{log}", "--out", "{out}"],
+     2),
 ]
 
 
@@ -254,6 +260,13 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     (workdir / "bool_k_config.yaml").write_text(
         _config_text(workdir, k="true"), encoding="utf-8"
     )
+    (workdir / "dup_header_log.csv").write_text(
+        "case,activity,role,role\n1,A,GP,GP\n", encoding="utf-8"
+    )
+    (workdir / "dup_columns_config.yaml").write_text(
+        _config_text(workdir, extra="csv:\n  attribute_columns: [role, role]\n"),
+        encoding="utf-8",
+    )
     paths = {
         name: str(workdir / file)
         for name, file in {
@@ -265,6 +278,8 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "latin1_config": "latin1_config.yaml",
             "delimiter_config": "delimiter_config.yaml",
             "bool_k_config": "bool_k_config.yaml",
+            "dup_header_log": "dup_header_log.csv",
+            "dup_columns_config": "dup_columns_config.yaml",
         }.items()
     }
     code = main([arg.format(**paths) for arg in argv])

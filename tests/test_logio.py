@@ -181,6 +181,14 @@ def test_read_log_xes_duplicate_case_names(tmp_path):
     doubled = XES.replace('value="case2"', 'value="case1"')
     log = read_log_xes(write(tmp_path / "dup.xes", doubled))
     assert [t.case_id for t in log.traces] == ["case1", "case1~2"]
+    # The suffix skips an id that a later trace already uses.
+    clash = doubled.replace(
+        "</log>",
+        '<trace><string key="concept:name" value="case1~2"/>'
+        '<event><string key="concept:name" value="Scan"/></event></trace></log>',
+    )
+    log = read_log_xes(write(tmp_path / "clash.xes", clash))
+    assert [t.case_id for t in log.traces] == ["case1", "case1~3", "case1~2"]
 
 
 def test_read_log_xes_errors(tmp_path):
@@ -256,6 +264,7 @@ csv:
         "k: 2\nactivity_hierarchies: [a.csv]\nutility_notion: vibes\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [-1]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: []\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [true]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nsurprise: 1\n",
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {separator: x}\n",
         "- just\n- a\n- list\n",

@@ -13,11 +13,9 @@ from pmdg import (
     Trace,
     UnknownAttribute,
     collect_handover_pairs,
-    collect_handover_pairs_by_column,
     export_dot,
     handover_graph,
     handover_precision,
-    handover_precision_from_pairs,
     handover_preservation,
     read_log_csv,
     remaining_variants,
@@ -159,29 +157,45 @@ def test_handover_precision_pair_aggregation():
     # Identical handovers repeated five times: both aggregations agree.
     assert abs(by_occurrence - by_pairs) < 1e-12
     assert abs(by_occurrence - 100.0 * 2.0 / 3.0) < 1e-9
+    # One untouched handover more counts once among six occurrences but
+    # as one of two distinct pairs.
+    untouched = Trace("5", (Event("A", {"role": "Admin"}), Event("B", {"role": "GP"})))
+    original = EventLog(("role",), original.traces + (untouched,))
+    generalized = EventLog(("role",), generalized.traces + (untouched,))
+    by_occurrence = handover_precision(original, generalized, "role", role)
+    by_pairs = handover_precision(original, generalized, "role", role,
+                                  aggregate="pairs")
+    assert abs(by_occurrence - 100.0 * (5 * 2 / 3 + 1) / 6) < 1e-9
+    assert abs(by_pairs - 100.0 * (2 / 3 + 1) / 2) < 1e-9
 
 
-def test_collect_handover_pairs_linkage_errors():
-    _, role, _ = clinic_hierarchies()
+def test_collect_handover_pairs_linkage_errors(tmp_path):
     original = clinic_log()
     missing_case = EventLog(schema=("role",), traces=())
     with pytest.raises(LinkageBroken):
         collect_handover_pairs(original, missing_case, "role")
-    no_origins = EventLog(
+    # Case 08 is narrower than the aligned width, so its events are matched
+    # by order; a re-read file turns its masked event into padding.
+    masked = EventLog(
         schema=("role",),
         traces=tuple(
-            Trace(t.case_id, tuple(Event(e.activity, dict(e.attributes))
-                                   for e in t.events))
-            for t in original.traces
+            Trace(t.case_id, tuple(
+                Event(WILDCARD, {"role": WILDCARD}, origin_index=0)
+                if t.case_id == "08" and e.origin_index == 0 else e
+                for e in t.events
+            ))
+            for t in vectorize_msa(original).traces
         ),
     )
+    path = tmp_path / "masked.csv"
+    write_log_csv(masked, path)
     with pytest.raises(LinkageBroken):
-        collect_handover_pairs(original, no_origins, "role")
+        collect_handover_pairs(original, read_log_csv(path), "role")
     with pytest.raises(UnknownAttribute):
         collect_handover_pairs(original, original, "ghost")
 
 
-def test_by_column_pairs_agree_with_origin_pairs(tmp_path):
+def test_collect_handover_pairs_agrees_on_all_input_forms(tmp_path):
     rng = random.Random(53)
     for _ in range(10):
         log, activity, attr_hs = random_instance(rng)
@@ -189,33 +203,25 @@ def test_by_column_pairs_agree_with_origin_pairs(tmp_path):
         k = rng.randint(1, min(3, len(vectorized.traces)))
         result = search(vectorized, activity, attr_hs, list(attr_hs), k)
         attr = sorted(attr_hs)[0]
-        by_origin = collect_handover_pairs(log, result.anonymized, attr)
-        by_column = collect_handover_pairs_by_column(
-            vectorized, result.anonymized, attr
-        )
-        strip = lambda pairs: [(p.original, p.generalized) for p in pairs]
-        assert strip(by_origin) == strip(by_column)
-        # The column path survives a CSV round trip even when full masking
-        # destroyed the origin linkage.
         path = tmp_path / "anon.csv"
         write_log_csv(result.anonymized, path)
         reread = read_log_csv(path)
-        assert strip(
-            collect_handover_pairs_by_column(vectorized, reread, attr)
-        ) == strip(by_origin)
+        # Pre-vectorization log against the in-memory result, vectorized log
+        # against the in-memory result, and vectorized log against a CSV
+        # re-read that lost the origins of fully masked events.
+        forms = [
+            collect_handover_pairs(log, result.anonymized, attr),
+            collect_handover_pairs(vectorized, result.anonymized, attr),
+            collect_handover_pairs(vectorized, reread, attr),
+        ]
+        assert forms[0] == forms[1] == forms[2]
 
 
-def test_by_column_width_mismatch_raises():
+def test_handover_precision_unknown_aggregate():
     _, role, _ = clinic_hierarchies()
-    original = clinic_log()
-    with pytest.raises(LinkageBroken):
-        collect_handover_pairs_by_column(original, vectorize_msa(original), "role")
-
-
-def test_handover_precision_from_pairs_unknown_aggregate():
-    _, role, _ = clinic_hierarchies()
+    log = clinic_log()
     with pytest.raises(ValueError):
-        handover_precision_from_pairs([], role, aggregate="mean")
+        handover_precision(log, log, "role", role, aggregate="mean")
 
 
 def test_export_dot_deterministic(tmp_path):
