@@ -82,8 +82,9 @@ def read_log_csv(
 
     Raises :class:`MissingColumn` if the header lacks a configured
     column, :class:`RaggedRow` (with the line number) if a data row does
-    not match the header width, and :class:`EmptyLog` if no data rows
-    remain.
+    not match the header width, :class:`EmptyLog` if no data rows
+    remain, and :class:`ParseError` if the file is not UTF-8 or the
+    ``csv`` module rejects it (e.g. a cell over its field size limit).
     """
     spec = spec or LogCsvSpec()
     try:
@@ -98,6 +99,8 @@ def read_log_csv(
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: malformed CSV: {exc}") from exc
 
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: header repeats a column name: {header}")
@@ -283,6 +286,8 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: malformed CSV: {exc}") from exc
     try:
         return validate_table(rows)
     except Exception as exc:
@@ -414,6 +419,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         "delimiter",
     }
     _require(not csv_unknown, f"{path}: unknown csv keys {sorted(csv_unknown)}")
+    for key in ("case_column", "activity_column"):
+        _require(
+            isinstance(csv_raw.get(key, ""), str),
+            f"{path}: csv.{key} must be a column name",
+        )
     attribute_columns = csv_raw.get("attribute_columns")
     if attribute_columns is not None:
         _require(

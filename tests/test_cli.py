@@ -243,7 +243,14 @@ MALFORMED_INPUTS = [
     ("duplicate-columns-config",
      ["anonymize", "--config", "{dup_columns_config}", "--in", "{log}", "--out", "{out}"],
      2),
+    ("oversized-field-log", ["validate", "--in", "{big_log}", "--k", "2"], 3),
+    ("oversized-field-hierarchy",
+     ["anonymize", "--config", "{big_hierarchy_config}", "--in", "{log}", "--out", "{out}"],
+     3),
 ]
+
+# One cell over the csv module's default field size limit (131,072).
+OVERSIZED_CELL = "x" * 200_000
 
 
 @pytest.mark.parametrize(
@@ -267,6 +274,15 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
         _config_text(workdir, extra="csv:\n  attribute_columns: [role, role]\n"),
         encoding="utf-8",
     )
+    (workdir / "big_log.csv").write_text(
+        f"case,activity,role\n1,A,{OVERSIZED_CELL}\n", encoding="utf-8"
+    )
+    (workdir / "big_role.csv").write_text(
+        ROLE_H + f"{OVERSIZED_CELL},Admin,⋆\n", encoding="utf-8"
+    )
+    (workdir / "big_hierarchy_config.yaml").write_text(
+        _config_text(workdir).replace("role.csv", "big_role.csv"), encoding="utf-8"
+    )
     paths = {
         name: str(workdir / file)
         for name, file in {
@@ -280,6 +296,8 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "bool_k_config": "bool_k_config.yaml",
             "dup_header_log": "dup_header_log.csv",
             "dup_columns_config": "dup_columns_config.yaml",
+            "big_log": "big_log.csv",
+            "big_hierarchy_config": "big_hierarchy_config.yaml",
         }.items()
     }
     code = main([arg.format(**paths) for arg in argv])

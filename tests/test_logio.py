@@ -267,6 +267,9 @@ csv:
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [true]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nsurprise: 1\n",
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {separator: x}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {case_column: 5}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {case_column: [case]}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {activity_column: 7}\n",
         "- just\n- a\n- list\n",
     ],
 )

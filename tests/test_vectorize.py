@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from pmdg import (
     vectorize_msa,
     vectorize_naive,
 )
+from pmdg.vectorize import _lcs_length, _symbol_masks
 
 from helpers import (
     all_alignments,
@@ -94,6 +97,74 @@ def test_align_pair_matches_oracle_on_random_sequences():
         for positions, sequence in zip(result.positions, (a, b)):
             assert len(positions) == len(sequence)
             assert list(positions) == sorted(set(positions))
+
+
+def test_center_score_matches_oracle():
+    # The bit-parallel scorer behind MSA center selection must return the
+    # optimal pairwise match count.  Lengths reach 80, so masks often
+    # exceed 64 bits; either side may be empty.
+    rng = random.Random(11)
+    alphabet = ["A", "B", "C", WILDCARD]
+    longest = empty = 0
+    for _ in range(2000):
+        a, b = (
+            tuple(
+                rng.choice(alphabet)
+                for _ in range(rng.randint(0, rng.choice((6, 12, 80))))
+            )
+            for _ in range(2)
+        )
+        matches = oracle_best_pairwise(a, b)[0]
+        assert _lcs_length(_symbol_masks(a), len(a), b) == matches
+        assert _lcs_length(_symbol_masks(b), len(b), a) == matches
+        longest = max(longest, len(a), len(b))
+        empty += not a or not b
+    assert longest > 64 and empty > 0
+
+
+def _golden_log(seed):
+    """30-60 distinct variants over a small alphabet with ``⋆`` and
+    repeated symbols; some variants occur more than once.  The variants
+    come in pairs that differ by swapping ``A`` and ``B``, so every
+    variant ties on its center score with its mirror image."""
+    rng = random.Random(seed)
+    alphabet = ["A", "B", "C", "D", "E", "F", WILDCARD]
+    mirror = {"A": "B", "B": "A"}
+    flows = set()
+    target = rng.randint(30, 59)
+    while len(flows) < target:
+        flow = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+        flows.add(flow)
+        flows.add(tuple(mirror.get(symbol, symbol) for symbol in flow))
+    traces = []
+    for number, flow in enumerate(sorted(flows)):
+        events = tuple(Event(activity, {"r": "x"}) for activity in flow)
+        for copy in range(rng.randint(1, 3)):
+            traces.append(Trace(f"{number}-{copy}", events))
+    return EventLog(schema=("r",), traces=tuple(traces))
+
+
+def test_vectorize_msa_golden_layout():
+    # Pins the center choice, variant order and move priorities: the SHA-256
+    # of each log's width and per-variant columns, taken from the
+    # straightforward DP implementation that preceded the bit-parallel one.
+    expected = {
+        1: "2f780824e777fc02087f0f66bdc197f037a4fe0c178d85323b8702d22753ba52",
+        2: "10eda7b7c1b2ee3389307e29ea653e7e139a6d50e67fd6dbf032b071f1e7102b",
+        3: "f8d5480d1dc4141e35e61baeacdadb920d8a9342182514aecbc3aeccc41d6b04",
+    }
+    for seed, digest in expected.items():
+        log = _golden_log(seed)
+        out = vectorize_msa(log)
+        layout = {
+            control_flow(before): [
+                j for j, e in enumerate(after.events) if e.origin_index is not None
+            ]
+            for before, after in zip(log.traces, out.traces)
+        }
+        assert 30 <= len(layout) <= 60
+        text = json.dumps([len(out.traces[0]), sorted(layout.items())])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, seed
 
 
 def test_vectorize_naive_pads_tail():
