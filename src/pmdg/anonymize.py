@@ -18,10 +18,12 @@ in two phases:
    every node skipped on the way to the first hit is genuinely
    unsatisfiable and nodes above a satisfiable one need no visit.
 
-The search evaluates candidate nodes on precomputed per-level value
-sequences instead of materializing a full log per node; the returned
-log is built once from the chosen vector, and the k requirement is
-re-checked on it before returning.
+Traces with equal raw signatures (:func:`~pmdg.model.trace_signature`)
+fall into the same class at every node, so phase 2 walks the log's
+distinct rows, each weighted by its number of traces, instead of
+materializing a full log per node.  The returned log is built once from
+the chosen vector, and the k requirement is re-checked on it before
+returning.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientTraces
 from .hierarchy import Hierarchy, LevelVector, apply_to_log
-from .model import WILDCARD, EventLog, control_flow, validate_k
+from .model import WILDCARD, EventLog, control_flow, trace_signature, validate_k
 
 logger = logging.getLogger(__name__)
 
@@ -107,63 +109,55 @@ def _ascending_vectors(depths: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from compositions(cost, depths)
 
 
-class _NodeEvaluator:
-    """Evaluates lattice nodes against a fixed activity level.
+def _walk_attribute_lattice(
+    log: EventLog,
+    activity_level: int,
+    activity_hierarchy: Hierarchy,
+    attribute_hierarchies: Mapping[str, Hierarchy],
+    selected: Sequence[str],
+    k: int,
+) -> tuple[tuple[int, ...], int]:
+    """Phase 2: the first attribute level vector, in ascending order, whose
+    classes all reach size k, and the number of vectors checked.
 
-    Precomputes, per trace: the generalized activity sequence and, per
-    (attribute, level), the attribute's value sequence with the
-    full-masking rule already applied at positions whose activity became
-    the wildcard.  Checking a node then only assembles per-trace
-    signature tuples from cached pieces.
+    The walk runs on the log's distinct raw signatures, each weighted by
+    how many traces share it.  Per distinct row it precomputes the
+    generalized activity sequence and, per (attribute, level), the value
+    sequence with the full-masking rule already applied where the
+    activity became the wildcard; a node check then only counts tuples of
+    cached pieces.
     """
-
-    def __init__(
-        self,
-        log: EventLog,
-        activity_level: int,
-        activity_hierarchy: Hierarchy,
-        attribute_hierarchies: Mapping[str, Hierarchy],
-        selected: Sequence[str],
-    ):
-        self.selected = tuple(selected)
-        self.hierarchies = attribute_hierarchies
-        self.flows: list[tuple[str, ...]] = []
-        masks: list[tuple[bool, ...]] = []
-        for trace in log.traces:
-            flow = tuple(
-                activity_hierarchy.generalize(event.activity, activity_level)
-                for event in trace.events
-            )
-            self.flows.append(flow)
-            masks.append(tuple(symbol == WILDCARD for symbol in flow))
-        self._columns: dict[tuple[str, int], list[tuple[str, ...]]] = {}
-        for attr in self.selected:
-            hierarchy = attribute_hierarchies[attr]
-            raw = [
-                tuple(event.attributes[attr] for event in trace.events)
-                for trace in log.traces
+    rows = Counter(trace_signature(trace, selected) for trace in log.traces)
+    weights = list(rows.values())
+    flows = [
+        tuple(activity_hierarchy.generalize(a, activity_level) for a in flow)
+        for flow, _ in rows
+    ]
+    masks = [tuple(symbol == WILDCARD for symbol in flow) for flow in flows]
+    columns: dict[tuple[str, int], list[tuple[str, ...]]] = {}
+    for position, attr in enumerate(selected):
+        hierarchy = attribute_hierarchies[attr]
+        raw = [sequences[position][1] for _, sequences in rows]
+        for level in range(hierarchy.depth + 1):
+            columns[attr, level] = [
+                tuple(
+                    WILDCARD if masked else hierarchy.generalize(value, level)
+                    for value, masked in zip(values, mask)
+                )
+                for values, mask in zip(raw, masks)
             ]
-            for level in range(hierarchy.depth + 1):
-                self._columns[(attr, level)] = [
-                    tuple(
-                        WILDCARD if masked else hierarchy.generalize(value, level)
-                        for value, masked in zip(values, mask)
-                    )
-                    for values, mask in zip(raw, masks)
-                ]
 
-    def class_sizes(self, attribute_levels: Sequence[int]) -> Counter:
-        streams = [
-            self._columns[(attr, level)]
-            for attr, level in zip(self.selected, attribute_levels)
-        ]
-        return Counter(
-            (flow, *(stream[i] for stream in streams))
-            for i, flow in enumerate(self.flows)
-        )
-
-    def ok(self, attribute_levels: Sequence[int], k: int) -> bool:
-        return min(self.class_sizes(attribute_levels).values()) >= k
+    depths = [attribute_hierarchies[attr].depth for attr in selected]
+    for checked, levels in enumerate(_ascending_vectors(depths), start=1):
+        streams = [columns[pair] for pair in zip(selected, levels)]
+        sizes: dict[tuple, int] = {}
+        for key, weight in zip(zip(flows, *streams), weights):
+            sizes[key] = sizes.get(key, 0) + weight
+        if min(sizes.values()) >= k:
+            return levels, checked
+    # With every attribute fully generalized the classes coincide with
+    # the control-flow classes of phase 1, so the top node satisfies k.
+    raise AssertionError("internal error: no lattice node satisfies k")
 
 
 def search(
@@ -191,21 +185,10 @@ def search(
         raise ValueError(f"no hierarchy for selected attributes: {missing}")
 
     activity_level = search_control_flow(log, activity_hierarchy, k)
-    nodes = activity_level + 1
-
-    evaluator = _NodeEvaluator(
-        log, activity_level, activity_hierarchy, attribute_hierarchies, selected
+    chosen_levels, checked = _walk_attribute_lattice(
+        log, activity_level, activity_hierarchy, attribute_hierarchies, selected, k
     )
     depths = [attribute_hierarchies[attr].depth for attr in selected]
-    for chosen_levels in _ascending_vectors(depths):
-        nodes += 1
-        if evaluator.ok(chosen_levels, k):
-            break
-    else:
-        # With every attribute fully generalized the classes coincide with
-        # the control-flow classes of phase 1, so the top node satisfies k.
-        raise AssertionError("internal error: no lattice node satisfies k")
-
     maxed_out = bool(selected) and list(chosen_levels) == depths
     if maxed_out:
         logger.warning(
@@ -225,6 +208,6 @@ def search(
         chosen=chosen,
         anonymized=anonymized,
         class_sizes=tuple(sorted(report.class_sizes, reverse=True)),
-        nodes_evaluated=nodes,
+        nodes_evaluated=activity_level + 1 + checked,
         maxed_out=maxed_out,
     )

@@ -155,6 +155,9 @@ def run_pipeline(
 
     started = time.perf_counter()
     log = _read_log(input_path, config.csv, config.wildcard)
+    for attr in config.quasi_identifiers:
+        if attr not in log.schema:
+            raise UnknownAttribute(f"log has no attribute {attr!r}")
     traces_read = len(log.traces)
     if config.drop_singletons:
         log = drop_singleton_variants(log)

@@ -28,7 +28,7 @@ from .errors import (
     NonFunctionalLevel,
     UnknownValue,
 )
-from .model import MISSING, WILDCARD, Event, EventLog, Trace
+from .model import MISSING, WILDCARD, Event, EventLog, Trace, _nfc
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,14 @@ class HierarchyTable:
 def validate_table(rows: Iterable[Sequence[str]]) -> HierarchyTable:
     """Check the structural rules and return the table.
 
-    Raises the specific :class:`~pmdg.errors.HierarchyFormatError`
-    subclass naming the first rule violated: uniform row length, wildcard
-    root in the last column, unique leaves, and functional consistency
-    (equal values at level ``j`` must stay equal at level ``j+1``).
+    Cells are stripped and NFC-normalized, as log values are, so a leaf
+    matches the log value it names whatever its encoding.  Raises the
+    specific :class:`~pmdg.errors.HierarchyFormatError` subclass naming
+    the first rule violated: uniform row length, wildcard root in the
+    last column, unique leaves, and functional consistency (equal values
+    at level ``j`` must stay equal at level ``j+1``).
     """
-    normalized = tuple(tuple(cell.strip() for cell in row) for row in rows)
+    normalized = tuple(tuple(_nfc(cell.strip()) for cell in row) for row in rows)
     if not normalized:
         raise HierarchyFormatError("hierarchy table has no rows")
     width = len(normalized[0])

@@ -11,9 +11,11 @@ or location involved).  Two special literals appear throughout:
 Vectorization pads traces with *wildcard events* (all cells ``⋆``) so that
 every trace in a log has the same length.  Real events that survive
 vectorization remember their position in the pre-vectorization trace via
-``origin_index``; wildcard events never carry one.  That linkage is what
-lets quality metrics compare an anonymized event with the original it
-came from.
+``origin_index``; wildcard events never carry one.  In memory, that
+linkage keeps a real event that generalization masked entirely (every
+cell ``⋆``) apart from padding; acceptance criterion 3 checks it after
+vectorization.  Quality metrics do not use it: they match an anonymized
+event with its original by column or by order.
 
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 
@@ -95,20 +96,40 @@ def test_search_clinic_walkthrough():
 
 
 def test_search_first_hit_is_minimal_cost():
+    """The walk stops at the oracle's cheapest vector, ties broken
+    lexicographically, after visiting exactly the vectors ranked before it;
+    whole traces repeat, so the walk's row weights matter."""
     rng = random.Random(31)
-    for _ in range(40):
+    below_top = 0
+    for _ in range(60):
         log, activity, attr_hs = random_instance(rng, attrs=2, depth=3)
         vectorized = vectorize_msa(log)
+        vectorized = EventLog(
+            schema=vectorized.schema,
+            traces=tuple(
+                Trace(f"{trace.case_id}-{copy}", trace.events)
+                for trace in vectorized.traces
+                for copy in range(rng.randint(1, 3))
+            ),
+        )
         k = rng.choice([2, 3])
         if len(vectorized.traces) < k:
             continue
-        result = search(vectorized, activity, attr_hs, list(attr_hs), k)
+        selected = sorted(attr_hs)
+        result = search(vectorized, activity, attr_hs, selected, k)
+        activity_level = result.chosen.activity_level
         best = oracle_minimal_cost(
-            vectorized, result.chosen.activity_level, activity, attr_hs,
-            list(attr_hs), k,
+            vectorized, activity_level, activity, attr_hs, selected, k
         )
         assert best is not None
-        assert result.chosen.cost == best[0]
+        cost, vector = best
+        assert result.chosen.cost == cost
+        assert tuple(result.chosen.attribute_levels[a] for a in selected) == vector
+        ranked = itertools.product(*(range(attr_hs[a].depth + 1) for a in selected))
+        visited = sum((sum(v), v) <= (sum(vector), vector) for v in ranked)
+        assert result.nodes_evaluated == activity_level + 1 + visited
+        below_top += not result.maxed_out
+    assert below_top >= 20
 
 
 def test_search_output_always_k_anonymous():

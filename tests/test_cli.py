@@ -247,6 +247,8 @@ MALFORMED_INPUTS = [
     ("oversized-field-hierarchy",
      ["anonymize", "--config", "{big_hierarchy_config}", "--in", "{log}", "--out", "{out}"],
      3),
+    ("unknown-quasi-identifier",
+     ["anonymize", "--config", "{ghost_config}", "--in", "{log}", "--out", "{out}"], 3),
 ]
 
 # One cell over the csv module's default field size limit (131,072).
@@ -283,6 +285,12 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     (workdir / "big_hierarchy_config.yaml").write_text(
         _config_text(workdir).replace("role.csv", "big_role.csv"), encoding="utf-8"
     )
+    (workdir / "ghost_config.yaml").write_text(
+        _config_text(workdir)
+        .replace("[role]", "[ghost]")
+        .replace("  role:", "  ghost:"),
+        encoding="utf-8",
+    )
     paths = {
         name: str(workdir / file)
         for name, file in {
@@ -298,6 +306,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "dup_columns_config": "dup_columns_config.yaml",
             "big_log": "big_log.csv",
             "big_hierarchy_config": "big_hierarchy_config.yaml",
+            "ghost_config": "ghost_config.yaml",
         }.items()
     }
     code = main([arg.format(**paths) for arg in argv])

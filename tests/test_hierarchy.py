@@ -114,6 +114,23 @@ def test_alpha_with_stay_at_self_rows():
     assert hierarchy.alpha(WILDCARD) == 3
 
 
+def test_hierarchy_cells_are_nfc_normalized():
+    decomposed, composed = "Cafe\u0301", "Caf\u00e9"  # both render as 'Café'
+    role = Hierarchy.from_rows(
+        [
+            (decomposed, f"{decomposed} Staff", WILDCARD),
+            ("Bar", f"{decomposed} Staff", WILDCARD),
+        ],
+        attribute="role",
+    )
+    assert role.leaves == (composed, "Bar")
+    value = Event("A", {"role": decomposed}).attributes["role"]  # as a log stores it
+    assert role.generalize(value, 0) == composed
+    generalized = role.generalize(value, 1)
+    assert generalized == f"{composed} Staff"
+    assert role.alpha(Event("A", {"role": generalized}).attributes["role"]) == 2
+
+
 def test_functional_consistency_property_random():
     rng = random.Random(42)
     for _ in range(20):
