@@ -13,6 +13,12 @@ the real events of its case as ``origin_index``.  A fully masked event
 (all cells ``⋆`` *with* an origin) is therefore indistinguishable from
 padding once serialized — the one lossy corner of the format, flagged in
 ``write_log_csv``.
+
+Both log readers make one streaming pass: CSV rows become events as they
+are read, and XES is parsed one top-level element at a time, so the file
+is never held whole.  Each distinct cell is canonicalized and
+NFC-normalized once per read, and every event holding that value shares
+one string.  A log file without events raises :class:`EmptyLog`.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
     RaggedRow,
 )
 from .hierarchy import HierarchyTable, validate_table
-from .model import MISSING, WILDCARD, Event, EventLog, Trace, wildcard_event
+from .model import MISSING, WILDCARD, Event, EventLog, Trace, _nfc, wildcard_event
 from .selection import UTILITY_NOTIONS
 from .vectorize import STRATEGIES
 
@@ -75,18 +81,46 @@ def _canonical(cell: str, wildcard: str) -> str:
     return cell
 
 
+class _Cells(dict):
+    """Raw cell -> canonical, NFC-normalized value, filled on first sight.
+
+    One instance per read call.  Raw cells that read as equal values (the
+    two Unicode forms of a word, or ``⋆`` and the wildcard literal) get one
+    shared string, so a log holds each distinct value once and ``Event``'s
+    own NFC pass returns it unchanged.
+    """
+
+    def __init__(self, wildcard: str) -> None:
+        super().__init__()
+        self.wildcard = wildcard
+        self.values = {WILDCARD: WILDCARD, MISSING: MISSING}
+
+    def __missing__(self, raw: str) -> str:
+        value = _nfc(_canonical(raw, self.wildcard))
+        value = self[raw] = self.values.setdefault(value, value)
+        return value
+
+
 def read_log_csv(
     path: str | Path, spec: LogCsvSpec | None = None, *, wildcard: str = WILDCARD
 ) -> EventLog:
-    """Read an event log from CSV.
+    """Read an event log from CSV in one streaming pass.
+
+    Events are built row by row; every distinct cell is canonicalized and
+    NFC-normalized once, and equal cells share one string.
 
     Raises :class:`MissingColumn` if the header lacks a configured
     column, :class:`RaggedRow` (with the line number) if a data row does
     not match the header width, :class:`EmptyLog` if no data rows
     remain, and :class:`ParseError` if the file is not UTF-8 or the
     ``csv`` module rejects it (e.g. a cell over its field size limit).
+    Header faults are reported before any data row is read; otherwise
+    the first faulty row wins.
     """
     spec = spec or LogCsvSpec()
+    cells = _Cells(wildcard)
+    cases: dict[str, list[Event]] = {}
+    origins: dict[str, int] = {}
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle, delimiter=spec.delimiter)
@@ -94,7 +128,37 @@ def read_log_csv(
                 header = next(reader)
             except StopIteration:
                 raise EmptyLog(f"{path}: file is empty") from None
-            rows = [(reader.line_num, row) for row in reader if row]
+            if len(set(header)) != len(header):
+                raise ParseError(f"{path}: header repeats a column name: {header}")
+            for column in (spec.case_column, spec.activity_column):
+                if column not in header:
+                    raise MissingColumn(f"{path}: header has no column {column!r}")
+            schema = spec.resolve_attributes(header)
+            for column in schema:
+                if column not in header:
+                    raise MissingColumn(f"{path}: header has no column {column!r}")
+            case_at = header.index(spec.case_column)
+            activity_at = header.index(spec.activity_column)
+            columns = [(name, header.index(name)) for name in schema]
+            padding = wildcard_event(schema)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise RaggedRow(
+                        f"{path}: line {reader.line_num} has {len(row)} cells, "
+                        f"expected {len(header)}"
+                    )
+                case_id = row[case_at]
+                activity = cells[row[activity_at]]
+                values = {name: cells[row[at]] for name, at in columns}
+                events = cases.setdefault(case_id, [])
+                if activity == WILDCARD and all(v == WILDCARD for v in values.values()):
+                    events.append(padding)
+                else:
+                    origin = origins.get(case_id, 0)
+                    events.append(Event(activity, values, origin_index=origin))
+                    origins[case_id] = origin + 1
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -102,40 +166,8 @@ def read_log_csv(
     except csv.Error as exc:
         raise ParseError(f"{path}: malformed CSV: {exc}") from exc
 
-    if len(set(header)) != len(header):
-        raise ParseError(f"{path}: header repeats a column name: {header}")
-    for column in (spec.case_column, spec.activity_column):
-        if column not in header:
-            raise MissingColumn(f"{path}: header has no column {column!r}")
-    schema = spec.resolve_attributes(header)
-    for column in schema:
-        if column not in header:
-            raise MissingColumn(f"{path}: header has no column {column!r}")
-    if not rows:
+    if not cases:
         raise EmptyLog(f"{path}: no event rows")
-
-    index = {name: header.index(name) for name in header}
-    cases: dict[str, list[Event]] = {}
-    origins: dict[str, int] = {}
-    for line_num, row in rows:
-        if len(row) != len(header):
-            raise RaggedRow(
-                f"{path}: line {line_num} has {len(row)} cells, "
-                f"expected {len(header)}"
-            )
-        case_id = row[index[spec.case_column]]
-        activity = _canonical(row[index[spec.activity_column]], wildcard)
-        values = {
-            name: _canonical(row[index[name]], wildcard) for name in schema
-        }
-        events = cases.setdefault(case_id, [])
-        if activity == WILDCARD and all(v == WILDCARD for v in values.values()):
-            events.append(wildcard_event(schema))
-        else:
-            events.append(
-                Event(activity, values, origin_index=origins.get(case_id, 0))
-            )
-            origins[case_id] = origins.get(case_id, 0) + 1
     traces = tuple(
         Trace(case_id=case_id, events=tuple(events))
         for case_id, events in cases.items()
@@ -189,60 +221,61 @@ def _strip_namespace(tag: str) -> str:
 
 
 def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
-    """Read the string-attribute subset of an XES log.
+    """Read the string-attribute subset of an XES log in one streaming pass.
 
     Each ``<event>``'s ``concept:name`` becomes the activity (its absence
     raises :class:`MissingConceptName`); every other ``<string>``
     attribute becomes a schema attribute.  The schema is the union of
     attribute keys over all events, in order of first appearance; events
     that lack a key get ``⊥``.  Non-string attributes (timestamps,
-    numbers, nested containers) are ignored.  Traces without events are
-    skipped.  Case ids come from the trace-level ``concept:name``; a
-    reused one gets the first free ``~2``, ``~3``, ... suffix that no
-    trace in the file already uses.
+    numbers, nested containers) are ignored, and so are ``<trace>``
+    elements that are not direct children of the root.  Traces without
+    events are skipped; a file left with none raises :class:`EmptyLog`.
+    Case ids come from the trace-level ``concept:name``, defaulting to
+    ``trace_{n}`` for the root's n-th child element; a reused one gets the
+    first free ``~2``, ``~3``, ... suffix that no trace in the file
+    already uses.
+
+    Each top-level element is parsed, turned into plain tuples and
+    cleared before the next is read, so memory holds one trace's XML at a
+    time.  Every distinct cell is canonicalized and NFC-normalized once,
+    and equal cells share one string.
     """
+    cells = _Cells(wildcard)
+    schema: dict[str, str] = {}
+    parsed: list[tuple[str, list[tuple[str, dict[str, str]]]]] = []
     try:
-        tree = ElementTree.parse(path)
+        with open(path, "rb") as handle:
+            steps = ElementTree.iterparse(handle, ("start", "end"))
+            _, root = next(steps)
+            depth = position = 0
+            for kind, element in steps:
+                if kind == "start":
+                    depth += 1
+                    continue
+                depth -= 1
+                if depth:
+                    continue
+                # ``element`` is a complete child of the root.
+                if _strip_namespace(element.tag) == "trace":
+                    case_id, events = _xes_trace(
+                        element, f"trace_{position}", cells, schema, path
+                    )
+                    if events:
+                        parsed.append((case_id, events))
+                position += 1
+                element.clear()
+                root.remove(element)
     except ElementTree.ParseError as exc:
         raise MalformedXml(f"{path}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-    schema: list[str] = []
-    parsed: list[tuple[str, list[tuple[str, dict[str, str]]]]] = []
-    for position, trace_el in enumerate(tree.getroot()):
-        if _strip_namespace(trace_el.tag) != "trace":
-            continue
-        case_id = f"trace_{position}"
-        events: list[tuple[str, dict[str, str]]] = []
-        for child in trace_el:
-            tag = _strip_namespace(child.tag)
-            if tag == "string" and child.get("key") == "concept:name":
-                case_id = child.get("value", case_id)
-            if tag != "event":
-                continue
-            activity: str | None = None
-            values: dict[str, str] = {}
-            for attr_el in child:
-                if _strip_namespace(attr_el.tag) != "string":
-                    continue
-                key, value = attr_el.get("key"), attr_el.get("value", "")
-                if key == "concept:name":
-                    activity = value
-                elif key:
-                    values[key] = value
-                    if key not in schema:
-                        schema.append(key)
-            if activity is None:
-                raise MissingConceptName(
-                    f"{path}: event without concept:name in trace {case_id!r}"
-                )
-            events.append((activity, values))
-        if events:
-            parsed.append((case_id, events))
+    if not parsed:
+        raise EmptyLog(f"{path}: no events")
 
     taken = {case_id for case_id, _ in parsed}
     last_suffix: dict[str, int] = {}
+    missing = cells[""]
     traces = []
     for case_id, events in parsed:
         if case_id in last_suffix:
@@ -255,17 +288,51 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
             last_suffix[case_id] = 1
         built = [
             Event(
-                _canonical(activity, wildcard),
-                {
-                    key: _canonical(values.get(key, ""), wildcard)
-                    for key in schema
-                },
+                activity,
+                {key: values.get(key, missing) for key in schema},
                 origin_index=position,
             )
             for position, (activity, values) in enumerate(events)
         ]
         traces.append(Trace(case_id=case_id, events=tuple(built)))
     return EventLog(schema=tuple(schema), traces=tuple(traces))
+
+
+def _xes_trace(
+    trace_el: ElementTree.Element,
+    case_id: str,
+    cells: _Cells,
+    schema: dict[str, str],
+    path: str | Path,
+) -> tuple[str, list[tuple[str, dict[str, str]]]]:
+    """One parsed ``<trace>`` as its case id and ``(activity, values)`` pairs.
+
+    Values are already canonical; new attribute keys join ``schema`` (a
+    dict used as an ordered set that also shares each key's string).
+    """
+    events: list[tuple[str, dict[str, str]]] = []
+    for child in trace_el:
+        tag = _strip_namespace(child.tag)
+        if tag == "string" and child.get("key") == "concept:name":
+            case_id = child.get("value", case_id)
+        if tag != "event":
+            continue
+        activity: str | None = None
+        values: dict[str, str] = {}
+        for attr_el in child:
+            if _strip_namespace(attr_el.tag) != "string":
+                continue
+            key, value = attr_el.get("key"), attr_el.get("value", "")
+            if key == "concept:name":
+                activity = value
+            elif key:
+                values[schema.setdefault(key, key)] = cells[value]
+        if activity is None:
+            raise MissingConceptName(
+                f"{path}: event without concept:name in trace {case_id!r}"
+            )
+        events.append((cells[activity], values))
+    return case_id, events
 
 
 def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTable:

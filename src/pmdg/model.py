@@ -35,6 +35,11 @@ MISSING = "⊥"  # ⊥
 
 
 def _nfc(text: str) -> str:
+    # ``normalize`` copies a string its quick check cannot confirm (say, a
+    # combining mark after a letter with no precomposed form) even when it
+    # is NFC already; returning such a string itself keeps shared cells shared.
+    if unicodedata.is_normalized("NFC", text):
+        return text
     return unicodedata.normalize("NFC", text)
 
 
@@ -45,11 +50,18 @@ class Event:
     ``origin_index`` is the event's position in its pre-vectorization
     trace, or ``None`` for events that never went through vectorization
     and for inserted wildcard events.
+
+    ``is_wildcard`` is true for inserted padding events: every cell is
+    ``⋆`` and there is no origin linkage.  A real event that was fully
+    masked by generalization keeps its ``origin_index`` and is *not* a
+    wildcard event.  It is derived once, on construction, and takes no
+    part in equality or ``repr``.
     """
 
     activity: str
     attributes: Mapping[str, str] = field(default_factory=dict)
     origin_index: int | None = None
+    is_wildcard: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "activity", _nfc(self.activity))
@@ -57,17 +69,12 @@ class Event:
         object.__setattr__(self, "attributes", MappingProxyType(normalized))
         if self.origin_index is not None and self.origin_index < 0:
             raise ValueError("origin_index must be non-negative")
-
-    @property
-    def is_wildcard(self) -> bool:
-        """True for inserted padding events: every cell is ``⋆`` and there
-        is no origin linkage.  A real event that was fully masked by
-        generalization keeps its ``origin_index`` and is *not* a wildcard
-        event."""
-        return (
+        object.__setattr__(
+            self,
+            "is_wildcard",
             self.activity == WILDCARD
             and self.origin_index is None
-            and all(v == WILDCARD for v in self.attributes.values())
+            and all(v == WILDCARD for v in normalized.values()),
         )
 
 

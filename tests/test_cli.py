@@ -249,7 +249,20 @@ MALFORMED_INPUTS = [
      3),
     ("unknown-quasi-identifier",
      ["anonymize", "--config", "{ghost_config}", "--in", "{log}", "--out", "{out}"], 3),
+    ("empty-xes", ["validate", "--in", "{empty_xes}", "--k", "2"], 3),
+    ("truncated-xes", ["validate", "--in", "{truncated_xes}", "--k", "2"], 3),
 ]
+
+# Every root child is empty or not a trace: no events at all.
+EMPTY_XES = (
+    '<log xmlns="http://www.xes-standard.org/">'
+    '<string key="concept:name" value="log"/><trace/>'
+    '<trace><string key="concept:name" value="c1"/></trace></log>'
+)
+TRUNCATED_XES = (
+    '<log><trace><event><string key="concept:name" value="A"/></event></trace>'
+    '<trace><event><string key="concept:name" value="B"/>'
+)
 
 # One cell over the csv module's default field size limit (131,072).
 OVERSIZED_CELL = "x" * 200_000
@@ -291,6 +304,8 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
         .replace("  role:", "  ghost:"),
         encoding="utf-8",
     )
+    (workdir / "empty.xes").write_text(EMPTY_XES, encoding="utf-8")
+    (workdir / "truncated.xes").write_text(TRUNCATED_XES, encoding="utf-8")
     paths = {
         name: str(workdir / file)
         for name, file in {
@@ -307,6 +322,8 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "big_log": "big_log.csv",
             "big_hierarchy_config": "big_hierarchy_config.yaml",
             "ghost_config": "ghost_config.yaml",
+            "empty_xes": "empty.xes",
+            "truncated_xes": "truncated.xes",
         }.items()
     }
     code = main([arg.format(**paths) for arg in argv])

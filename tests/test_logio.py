@@ -194,9 +194,45 @@ def test_read_log_xes_duplicate_case_names(tmp_path):
 def test_read_log_xes_errors(tmp_path):
     with pytest.raises(MalformedXml):
         read_log_xes(write(tmp_path / "bad.xes", "<log><trace>"))
+    # Cut mid-trace, after two complete traces.
+    text = XES.replace("</log>", XES[XES.index("<trace>"):XES.index("</log>")] + "</log>")
+    cut = text.index("Hospital", text.index("case1", text.index("case2")))
+    with pytest.raises(MalformedXml):
+        read_log_xes(write(tmp_path / "cut.xes", text[:cut]))
     headless = XES.replace('<string key="concept:name" value="Scan"/>', "")
     with pytest.raises(MissingConceptName):
         read_log_xes(write(tmp_path / "nameless.xes", headless))
+
+
+def test_read_log_xes_without_events_is_empty(tmp_path):
+    for text in (
+        "<log/>",
+        '<log><trace/><trace><string key="concept:name" value="c"/></trace></log>',
+    ):
+        with pytest.raises(EmptyLog):
+            read_log_xes(write(tmp_path / "empty.xes", text))
+
+
+def test_read_log_xes_header_elements_and_nested_traces(tmp_path):
+    text = """<log xmlns="http://www.xes-standard.org/">
+  <extension name="Concept" prefix="concept" uri="http://www.xes-standard.org/concept.xesext"/>
+  <global scope="event"><string key="concept:name" value="__INVALID__"/></global>
+  <string key="concept:name" value="the log"/>
+  <trace>
+    <event><string key="concept:name" value="A"/><string key="unit" value="u1"/></event>
+    <trace><event><string key="concept:name" value="N"/><string key="deep" value="d"/></event></trace>
+    <event><string key="concept:name" value="B"/><string key="role" value="r1"/></event>
+  </trace>
+  <trace>
+    <event><string key="concept:name" value="C"/><string key="role" value="r2"/></event>
+  </trace>
+</log>
+"""
+    log = read_log_xes(write(tmp_path / "header.xes", text))
+    assert log.schema == ("unit", "role")
+    assert [t.case_id for t in log.traces] == ["trace_3", "trace_4"]
+    assert [[e.activity for e in t] for t in log.traces] == [["A", "B"], ["C"]]
+    assert log.traces[0].events[1].attributes == {"unit": MISSING, "role": "r1"}
 
 
 def test_read_hierarchy(tmp_path):
