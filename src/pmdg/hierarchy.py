@@ -28,7 +28,7 @@ from .errors import (
     NonFunctionalLevel,
     UnknownValue,
 )
-from .model import MISSING, WILDCARD, Event, EventLog, Trace, _nfc
+from .model import MISSING, WILDCARD, Event, EventLog, Trace, _EventPool, _nfc
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,13 @@ def apply_to_log(
     happened at a position, keeping a concrete role or location there
     would leak exactly the information the wildcard was meant to hide.
     Masked events keep their ``origin_index``; inserted wildcard events
-    pass through unchanged.
+    (all ``⋆``) come out as they went in.
+
+    The generalization is worked out once per distinct input event, keyed
+    by its activity, origin and values in schema order, and each distinct
+    image is one ``Event`` shared by every trace that holds it.  An
+    unknown value raises :class:`~pmdg.errors.UnknownValue` at the first
+    event, in log order, that holds it.
     """
     attribute_hierarchies = attribute_hierarchies or {}
     for attr in levels.attribute_levels:
@@ -230,24 +236,41 @@ def apply_to_log(
         if attr not in attribute_hierarchies:
             raise ValueError(f"no hierarchy supplied for attribute {attr!r}")
 
-    traces = []
+    schema = log.schema
+    generalized = [
+        (schema.index(attr), attribute_hierarchies[attr], level)
+        for attr, level in levels.attribute_levels.items()
+    ]
+    # Distinct event objects in order of first appearance, so the first
+    # unknown value met is the first in log order.
+    distinct: dict[int, Event] = {}
     for trace in log.traces:
-        events = []
-        for event in trace.events:
-            if event.is_wildcard:
-                events.append(event)
-                continue
+        distinct.update(zip(map(id, trace.events), trace.events))
+    pool = _EventPool(schema)
+    images: dict[tuple, Event] = {}  # input content -> its pooled image
+    image_of: dict[int, Event] = {}  # input object id -> its pooled image
+    for ident, event in distinct.items():
+        attributes = event.attributes
+        origin = event.origin_index
+        values = [attributes[attr] for attr in schema]
+        key = (event.activity, origin, *values)
+        if key not in images:
             activity = activity_hierarchy.generalize(
                 event.activity, levels.activity_level
             )
-            values = dict(event.attributes)
             if activity == WILDCARD:
-                values = {attr: WILDCARD for attr in values}
+                values = [WILDCARD] * len(values)
             else:
-                for attr, level in levels.attribute_levels.items():
-                    values[attr] = attribute_hierarchies[attr].generalize(
-                        values[attr], level
-                    )
-            events.append(Event(activity, values, origin_index=event.origin_index))
-        traces.append(Trace(case_id=trace.case_id, events=tuple(events)))
-    return EventLog(schema=log.schema, traces=tuple(traces))
+                for at, hierarchy, level in generalized:
+                    values[at] = hierarchy.generalize(values[at], level)
+            images[key] = pool[(activity, origin, *values)]
+        image_of[ident] = images[key]
+
+    traces = tuple(
+        Trace(
+            case_id=trace.case_id,
+            events=tuple(map(image_of.__getitem__, map(id, trace.events))),
+        )
+        for trace in log.traces
+    )
+    return EventLog(schema=schema, traces=traces)

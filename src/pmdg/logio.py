@@ -18,7 +18,11 @@ Both log readers make one streaming pass: CSV rows become events as they
 are read, and XES is parsed one top-level element at a time, so the file
 is never held whole.  Each distinct cell is canonicalized and
 NFC-normalized once per read, and every event holding that value shares
-one string.  A log file without events raises :class:`EmptyLog`.
+one string.  Likewise each distinct event (activity, origin and values)
+is built once per read, and every trace holding it shares that one
+immutable ``Event``.  Case ids are grouped and deduplicated on their NFC
+form, so the two Unicode spellings of a name are one case id.  A log
+file without events raises :class:`EmptyLog`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     RaggedRow,
 )
 from .hierarchy import HierarchyTable, validate_table
-from .model import MISSING, WILDCARD, Event, EventLog, Trace, _nfc, wildcard_event
+from .model import MISSING, WILDCARD, Event, EventLog, Trace, _EventPool, _nfc
 from .selection import UTILITY_NOTIONS
 from .vectorize import STRATEGIES
 
@@ -107,7 +111,9 @@ def read_log_csv(
     """Read an event log from CSV in one streaming pass.
 
     Events are built row by row; every distinct cell is canonicalized and
-    NFC-normalized once, and equal cells share one string.
+    NFC-normalized once, and equal cells share one string.  Each distinct
+    event is built once and shared.  Rows are grouped into cases on the
+    NFC form of their case id.
 
     Raises :class:`MissingColumn` if the header lacks a configured
     column, :class:`RaggedRow` (with the line number) if a data row does
@@ -139,8 +145,8 @@ def read_log_csv(
                     raise MissingColumn(f"{path}: header has no column {column!r}")
             case_at = header.index(spec.case_column)
             activity_at = header.index(spec.activity_column)
-            columns = [(name, header.index(name)) for name in schema]
-            padding = wildcard_event(schema)
+            columns = [header.index(name) for name in schema]
+            pool = _EventPool(schema)
             for row in reader:
                 if not row:
                     continue
@@ -149,16 +155,15 @@ def read_log_csv(
                         f"{path}: line {reader.line_num} has {len(row)} cells, "
                         f"expected {len(header)}"
                     )
-                case_id = row[case_at]
+                case_id = _nfc(row[case_at])
                 activity = cells[row[activity_at]]
-                values = {name: cells[row[at]] for name, at in columns}
-                events = cases.setdefault(case_id, [])
-                if activity == WILDCARD and all(v == WILDCARD for v in values.values()):
-                    events.append(padding)
+                values = [cells[row[at]] for at in columns]
+                if activity == WILDCARD and all(v == WILDCARD for v in values):
+                    origin = None
                 else:
                     origin = origins.get(case_id, 0)
-                    events.append(Event(activity, values, origin_index=origin))
                     origins[case_id] = origin + 1
+                cases.setdefault(case_id, []).append(pool[(activity, origin, *values)])
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -189,6 +194,9 @@ def write_log_csv(
     completely (all cells ``⋆``) reads back as an inserted wildcard
     event.  Its column survives, so handover precision of a re-read log
     needs the vectorized original, which is matched by column.
+
+    The cells of each distinct event object are rendered once; only the
+    case id is written per row.
     """
     spec = spec or LogCsvSpec()
     columns = spec.attribute_columns or log.schema
@@ -199,19 +207,24 @@ def write_log_csv(
             return wildcard
         return value
 
+    rendered: dict[int, tuple[str, ...]] = {}  # keyed by the ids of log's events
+
+    def cells(event: Event) -> tuple[str, ...]:
+        found = rendered.get(id(event))
+        if found is None:
+            found = rendered[id(event)] = (
+                render(event.activity),
+                *(render(event.attributes[c]) for c in columns),
+            )
+        return found
+
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, delimiter=spec.delimiter, lineterminator="\n")
             writer.writerow(header)
             for trace in log.traces:
-                for event in trace.events:
-                    writer.writerow(
-                        [
-                            trace.case_id,
-                            render(event.activity),
-                            *(render(event.attributes[c]) for c in columns),
-                        ]
-                    )
+                case_id = trace.case_id
+                writer.writerows((case_id, *cells(event)) for event in trace.events)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -239,7 +252,8 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     Each top-level element is parsed, turned into plain tuples and
     cleared before the next is read, so memory holds one trace's XML at a
     time.  Every distinct cell is canonicalized and NFC-normalized once,
-    and equal cells share one string.
+    and equal cells share one string; each distinct event is built once
+    and shared.  Case ids are deduplicated on their NFC form.
     """
     cells = _Cells(wildcard)
     schema: dict[str, str] = {}
@@ -262,7 +276,7 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
                         element, f"trace_{position}", cells, schema, path
                     )
                     if events:
-                        parsed.append((case_id, events))
+                        parsed.append((_nfc(case_id), events))
                 position += 1
                 element.clear()
                 root.remove(element)
@@ -276,6 +290,8 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     taken = {case_id for case_id, _ in parsed}
     last_suffix: dict[str, int] = {}
     missing = cells[""]
+    keys = tuple(schema)
+    pool = _EventPool(keys)
     traces = []
     for case_id, events in parsed:
         if case_id in last_suffix:
@@ -286,16 +302,12 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
             case_id = f"{case_id}~{suffix}"
         else:
             last_suffix[case_id] = 1
-        built = [
-            Event(
-                activity,
-                {key: values.get(key, missing) for key in schema},
-                origin_index=position,
-            )
+        built = tuple(
+            pool[(activity, position, *[values.get(key, missing) for key in keys])]
             for position, (activity, values) in enumerate(events)
-        ]
-        traces.append(Trace(case_id=case_id, events=tuple(built)))
-    return EventLog(schema=tuple(schema), traces=tuple(traces))
+        )
+        traces.append(Trace(case_id=case_id, events=built))
+    return EventLog(schema=keys, traces=tuple(traces))
 
 
 def _xes_trace(

@@ -19,7 +19,11 @@ event with its original by column or by order.
 
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare
-equal when they should.
+equal when they should.  Because nothing can change an event, one
+``Event`` object may stand in several traces, and in several logs: the
+readers and :func:`~pmdg.hierarchy.apply_to_log` build each distinct
+event once (through one ``_EventPool`` per call) and share it.  Identity
+therefore means nothing; events compare by content.
 """
 
 from __future__ import annotations
@@ -78,6 +82,27 @@ class Event:
         )
 
 
+class _EventPool(dict):
+    """``(activity, origin_index, *values)`` -> the one ``Event`` with that
+    content, built on first sight.
+
+    The values follow ``schema`` order; a key must never be read off
+    ``attributes.values()``, whose order is the event's own.  One instance
+    per call, so a pool lives and dies with the log it builds.
+    """
+
+    def __init__(self, schema: Sequence[str]) -> None:
+        super().__init__()
+        self.schema = tuple(schema)
+
+    def __missing__(self, key: tuple) -> Event:
+        activity, origin, *values = key
+        event = self[key] = Event(
+            activity, dict(zip(self.schema, values)), origin_index=origin
+        )
+        return event
+
+
 def wildcard_event(schema: Sequence[str]) -> Event:
     """Build the padding event for the given attribute schema."""
     return Event(WILDCARD, {name: WILDCARD for name in schema})
@@ -116,7 +141,8 @@ class EventLog:
     """An immutable event log with a fixed attribute schema.
 
     Every event of every trace carries exactly the schema's attribute
-    keys; case identifiers are unique within the log.
+    keys; case identifiers are unique within the log.  The key check runs
+    once per distinct event object, since a shared event cannot change.
     """
 
     schema: tuple[str, ...]
@@ -129,16 +155,20 @@ class EventLog:
             raise ValueError("schema attribute names must be unique")
         expected = set(self.schema)
         seen_cases: set[str] = set()
+        checked: set[int] = set()  # ids of events held by this log
         for trace in self.traces:
             if trace.case_id in seen_cases:
                 raise ValueError(f"duplicate case id {trace.case_id!r}")
             seen_cases.add(trace.case_id)
             for event in trace.events:
-                if set(event.attributes) != expected:
+                if id(event) in checked:
+                    continue
+                if event.attributes.keys() != expected:
                     raise ValueError(
                         f"event in trace {trace.case_id!r} does not match the "
                         f"log schema {self.schema!r}"
                     )
+                checked.add(id(event))
 
     def __len__(self) -> int:
         return len(self.traces)

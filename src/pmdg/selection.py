@@ -69,9 +69,17 @@ def level_utility(
     grouped by their generalized value sequence, and the group structure
     is scored by the chosen notion.
     """
+    return _utility(Counter(_value_sequences(log, hierarchy)), hierarchy, level, notion)
+
+
+def _utility(
+    sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy, level: int, notion: str
+) -> float:
+    """``level_utility`` from the distinct raw sequences and their counts:
+    each distinct sequence is generalized once, weighted by its count."""
     groups: Counter[tuple[str, ...]] = Counter()
-    for sequence in _value_sequences(log, hierarchy):
-        groups[tuple(hierarchy.generalize(v, level) for v in sequence)] += 1
+    for sequence, count in sequences.items():
+        groups[tuple(hierarchy.generalize(v, level) for v in sequence)] += count
     if notion == "class_count":
         return float(len(groups))
     if notion == "size_balance":
@@ -95,8 +103,9 @@ def score_hierarchy(
         raise ValueError("weights must not be empty")
     padded = tuple(weights) + (weights[-1],) * max(0, hierarchy.depth - len(weights))
     padded = padded[: hierarchy.depth]
+    sequences = Counter(_value_sequences(log, hierarchy))
     per_level = tuple(
-        level_utility(log, hierarchy, level, notion)
+        _utility(sequences, hierarchy, level, notion)
         for level in range(1, hierarchy.depth + 1)
     )
     total = sum(w * u for w, u in zip(padded, per_level))

@@ -355,7 +355,7 @@ def _run_once(directory, tag, hash_seed):
     ):
         done = subprocess.run(
             [sys.executable, "-m", "pmdg", *command],
-            env=env, capture_output=True, text=True,
+            env=env, capture_output=True, text=True, encoding="utf-8",
         )
         assert done.returncode == 0, done.stderr
     manifest = json.loads(report.read_text(encoding="utf-8"))

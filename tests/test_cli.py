@@ -205,6 +205,17 @@ def test_metrics_commands(workdir, capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "66.7"
 
 
+def test_unicode_case_id_forms_are_one_case(tmp_path, capsys):
+    path = tmp_path / "forms.csv"
+    path.write_text(
+        "case,activity,role\nCaf\u00e9,A,GP\nCafe\u0301,B,GP\n", encoding="utf-8"
+    )
+    assert main(["metrics", "variants", "--in", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "1"
+    assert "Traceback" not in captured.err
+
+
 def test_wildcard_literal_flag(workdir, tmp_path):
     vec = tmp_path / "vec.csv"
     assert main([

@@ -19,6 +19,6 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert done.returncode == 0, done.stderr

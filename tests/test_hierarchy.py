@@ -18,9 +18,10 @@ from pmdg import (
     UnknownValue,
     apply_to_log,
     validate_table,
+    vectorize_naive,
 )
 
-from helpers import clinic_hierarchies, clinic_log, random_hierarchy
+from helpers import clinic_hierarchies, clinic_log, random_hierarchy, random_instance
 
 
 def test_validate_table_accepts_repeats_across_levels():
@@ -218,3 +219,74 @@ def test_apply_to_log_validates_levels():
         apply_to_log(log, LevelVector(0, {"role": 1}), activity, {})
     with pytest.raises(ValueError):
         apply_to_log(log, LevelVector(0, {"role": 5}), activity, {"role": role})
+
+
+def test_apply_to_log_reads_values_in_schema_order():
+    # Swapped dict orders and swapped values: read off ``values()``, both
+    # events would look alike and share one (wrong) image.
+    activity = Hierarchy.from_rows([("a", "a", WILDCARD)])
+    x = Hierarchy.from_rows(
+        [("1", "x-one", WILDCARD), ("2", "x-two", WILDCARD)], attribute="x"
+    )
+    y = Hierarchy.from_rows(
+        [("1", "y-one", WILDCARD), ("2", "y-two", WILDCARD)], attribute="y"
+    )
+    log = EventLog(
+        schema=("x", "y"),
+        traces=(
+            Trace("1", (Event("a", {"y": "1", "x": "2"}),)),
+            Trace("2", (Event("a", {"x": "1", "y": "2"}),)),
+        ),
+    )
+    out = apply_to_log(log, LevelVector(0, {"x": 1, "y": 1}), activity, {"x": x, "y": y})
+    assert out.traces[0].events[0].attributes == {"x": "x-two", "y": "y-one"}
+    assert out.traces[1].events[0].attributes == {"x": "x-one", "y": "y-two"}
+
+
+def _oracle_apply(log, levels, activity, attributes):
+    """``apply_to_log`` one event at a time through ``Hierarchy.generalize``."""
+    traces = []
+    for trace in log.traces:
+        events = []
+        for event in trace.events:
+            label = activity.generalize(event.activity, levels.activity_level)
+            values = {}
+            for attr, value in event.attributes.items():
+                level = levels.attribute_levels.get(attr)
+                if label == WILDCARD:
+                    value = WILDCARD
+                elif level is not None:
+                    value = attributes[attr].generalize(value, level)
+                values[attr] = value
+            events.append(Event(label, values, origin_index=event.origin_index))
+        traces.append(Trace(trace.case_id, tuple(events)))
+    return EventLog(log.schema, tuple(traces))
+
+
+def test_apply_to_log_matches_per_event_oracle():
+    rng = random.Random(23)
+    for _ in range(40):
+        raw, activity, attributes = random_instance(rng, attrs=rng.randint(1, 3))
+        # Every event lists its attributes in its own shuffled order, and
+        # some values are missing or wildcards.
+        traces = []
+        for trace in raw.traces:
+            events = []
+            for event in trace.events:
+                items = list(event.attributes.items())
+                rng.shuffle(items)
+                items = [
+                    (k, rng.choice([v, v, v, MISSING, WILDCARD])) for k, v in items
+                ]
+                events.append(Event(event.activity, dict(items)))
+            traces.append(Trace(trace.case_id, tuple(events)))
+        shuffled = EventLog(raw.schema, tuple(traces))
+        for log in (shuffled, vectorize_naive(shuffled)):
+            for _ in range(5):
+                listed = rng.sample(sorted(attributes), rng.randint(0, len(attributes)))
+                levels = LevelVector(
+                    rng.randint(0, activity.depth),
+                    {attr: rng.randint(0, attributes[attr].depth) for attr in listed},
+                )
+                expected = _oracle_apply(log, levels, activity, attributes)
+                assert apply_to_log(log, levels, activity, attributes) == expected

@@ -15,7 +15,9 @@ from pmdg import (
     MissingColumn,
     MissingConceptName,
     RaggedRow,
+    LevelVector,
     Trace,
+    apply_to_log,
     load_config,
     read_hierarchy,
     read_log_csv,
@@ -73,6 +75,14 @@ def test_read_log_csv_errors(tmp_path):
         read_log_csv(write(tmp_path / "d.csv", "case,activity,role\n"))
     with pytest.raises(EmptyLog):
         read_log_csv(write(tmp_path / "e.csv", ""))
+
+
+def test_read_log_csv_groups_case_ids_on_their_nfc_form(tmp_path):
+    # Composed and decomposed spellings of one case id are one case.
+    path = write(tmp_path / "log.csv", "case,activity\nCaf\u00e9,A\nCafe\u0301,B\n")
+    log = read_log_csv(path)
+    assert [t.case_id for t in log.traces] == ["Caf\u00e9"]
+    assert [(e.activity, e.origin_index) for e in log.traces[0]] == [("A", 0), ("B", 1)]
 
 
 def test_read_log_csv_wildcard_and_missing_literals(tmp_path):
@@ -189,6 +199,13 @@ def test_read_log_xes_duplicate_case_names(tmp_path):
     )
     log = read_log_xes(write(tmp_path / "clash.xes", clash))
     assert [t.case_id for t in log.traces] == ["case1", "case1~3", "case1~2"]
+
+
+def test_read_log_xes_dedupes_case_ids_on_their_nfc_form(tmp_path):
+    text = XES.replace('value="case1"', 'value="Caf\u00e9"')
+    text = text.replace('value="case2"', 'value="Cafe\u0301"')
+    log = read_log_xes(write(tmp_path / "forms.xes", text))
+    assert [t.case_id for t in log.traces] == ["Caf\u00e9", "Caf\u00e9~2"]
 
 
 def test_read_log_xes_errors(tmp_path):
@@ -319,3 +336,49 @@ def test_load_config_invalid_yaml(tmp_path):
     path = write(tmp_path / "broken.yaml", "k: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def _xes_of(log):
+    """XES text of a log, one ``<string>`` per attribute of every event."""
+    parts = ['<log xmlns="http://www.xes-standard.org/">']
+    for trace in log.traces:
+        parts.append(f'<trace><string key="concept:name" value="{trace.case_id}"/>')
+        for event in trace.events:
+            parts.append(f'<event><string key="concept:name" value="{event.activity}"/>')
+            parts += [f'<string key="{k}" value="{v}"/>' for k, v in event.attributes.items()]
+            parts.append("</event>")
+        parts.append("</trace>")
+    parts.append("</log>")
+    return "".join(parts)
+
+
+def _one_object_per_distinct_event(log):
+    events = [e for t in log.traces for e in t.events]
+    contents = {
+        (e.activity, e.origin_index, *(e.attributes[a] for a in log.schema))
+        for e in events
+    }
+    return len({id(e) for e in events}) == len(contents)
+
+
+def test_readers_and_apply_to_log_share_one_event_per_distinct_event(tmp_path):
+    rng = random.Random(5)
+    for i in range(10):
+        raw, activity, attributes = random_instance(rng)
+        # Every case twice, so the files repeat events.
+        raw = EventLog(raw.schema, raw.traces + tuple(
+            Trace(f"{t.case_id}b", t.events) for t in raw.traces
+        ))
+        csv_path = tmp_path / f"log{i}.csv"
+        write_log_csv(vectorize_msa(raw), csv_path)
+        from_csv = read_log_csv(csv_path)
+        from_xes = read_log_xes(write(tmp_path / f"log{i}.xes", _xes_of(raw)))
+        levels = LevelVector(
+            rng.randint(0, activity.depth),
+            {attr: rng.randint(0, h.depth) for attr, h in attributes.items()},
+        )
+        for log in (from_csv, from_xes):
+            assert len({id(e) for t in log.traces for e in t.events}) < sum(map(len, log))
+            assert _one_object_per_distinct_event(log)
+            image = apply_to_log(log, levels, activity, attributes)
+            assert _one_object_per_distinct_event(image)

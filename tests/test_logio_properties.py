@@ -1,5 +1,6 @@
-"""Property test of the log readers: CSV and XES files written from one
-generated log both read back as the log built directly with ``Event``."""
+"""Property tests of log I/O: CSV and XES files written from one
+generated log both read back as the log built directly with ``Event``,
+and ``write_log_csv`` followed by ``read_log_csv`` gives the log back."""
 
 import csv
 import io
@@ -17,6 +18,8 @@ from pmdg import (
     Trace,
     read_log_csv,
     read_log_xes,
+    wildcard_event,
+    write_log_csv,
 )
 
 # Decomposed and composed forms, a combining mark with no precomposed
@@ -118,3 +121,56 @@ def test_readers_agree_with_direct_construction(tmp_path, raw, delimiter, omit_m
     assert from_xes == expected
     assert _shares_one_string_per_value(from_csv)
     assert _shares_one_string_per_value(from_xes)
+
+
+@st.composite
+def written_logs(draw):
+    """(wildcard literal, log) as a generalized, vectorized log looks: some
+    events fully masked, padding between events, and equal events shared
+    by one object across traces."""
+    wildcard, schema, cases = draw(raw_logs())
+    padding = wildcard_event(schema)
+    shared: dict[tuple, Event] = {}
+    traces = []
+    for trace in _expected(wildcard, schema, cases).traces:
+        events = []
+        for event in trace.events:
+            events += [padding] * draw(st.integers(0, 2))
+            if draw(st.integers(0, 3)) == 0:
+                event = Event(WILDCARD, {name: WILDCARD for name in schema},
+                              origin_index=event.origin_index)
+            key = (event.activity, event.origin_index, *map(event.attributes.get, schema))
+            events.append(shared.setdefault(key, event))
+        events += [padding] * draw(st.integers(0, 1))
+        traces.append(Trace(trace.case_id, tuple(events)))
+    return wildcard, EventLog(schema, tuple(traces))
+
+
+def _read_back(log):
+    """The log as its CSV reads back: a fully masked event becomes padding
+    (the documented exception), so origins count the other events."""
+    padding = wildcard_event(log.schema)
+    traces = []
+    for trace in log.traces:
+        events, origin = [], 0
+        for event in trace.events:
+            if event.activity == WILDCARD and all(
+                v == WILDCARD for v in event.attributes.values()
+            ):
+                events.append(padding)
+            else:
+                events.append(Event(event.activity, event.attributes, origin_index=origin))
+                origin += 1
+        traces.append(Trace(trace.case_id, tuple(events)))
+    return EventLog(log.schema, tuple(traces))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(written_logs(), st.sampled_from([",", ";"]))
+def test_csv_round_trip(tmp_path, written, delimiter):
+    wildcard, log = written
+    spec = LogCsvSpec(delimiter=delimiter)
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path, spec, wildcard=wildcard)
+    assert read_log_csv(path, spec, wildcard=wildcard) == _read_back(log)
