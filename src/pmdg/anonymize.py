@@ -18,12 +18,12 @@ in two phases:
    every node skipped on the way to the first hit is genuinely
    unsatisfiable and nodes above a satisfiable one need no visit.
 
-Traces with equal raw signatures (:func:`~pmdg.model.trace_signature`)
-fall into the same class at every node, so phase 2 walks the log's
-distinct rows, each weighted by its number of traces, instead of
-materializing a full log per node.  The returned log is built once from
-the chosen vector, and the k requirement is re-checked on it before
-returning.
+Phase 1 runs on the distinct control flows, and phase 2 on the distinct
+raw signatures (:func:`~pmdg.model.trace_signature`), each weighted by
+its number of traces: equal rows share a class at every node.  Phase 2
+interns each generalized value sequence to a small int, so a node check
+counts tuples of ints.  The returned log is built once from the chosen
+vector, and the k requirement is re-checked on it before returning.
 """
 
 from __future__ import annotations
@@ -76,12 +76,11 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
         raise InsufficientTraces(
             f"log has {len(log.traces)} traces, cannot form classes of size {k}"
         )
-    flows = [control_flow(trace) for trace in log.traces]
+    flows = Counter(control_flow(trace) for trace in log.traces)
     for level in range(activity_hierarchy.depth + 1):
-        classes = Counter(
-            tuple(activity_hierarchy.generalize(a, level) for a in flow)
-            for flow in flows
-        )
+        classes: dict[tuple[str, ...], int] = {}
+        for image, count in zip(activity_hierarchy.images(flows, level), flows.values()):
+            classes[image] = classes.get(image, 0) + count
         if min(classes.values()) >= k:
             return level
     # Generalization never changes trace lengths, so a length that occurs
@@ -109,6 +108,12 @@ def _ascending_vectors(depths: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from compositions(cost, depths)
 
 
+def _interned(items: Iterable[tuple]) -> list[int]:
+    """Each item's small-int id, in order; equal items share one."""
+    ids: dict[tuple, int] = {}
+    return [ids.setdefault(item, len(ids)) for item in items]
+
+
 def _walk_attribute_lattice(
     log: EventLog,
     activity_level: int,
@@ -121,37 +126,29 @@ def _walk_attribute_lattice(
     classes all reach size k, and the number of vectors checked.
 
     The walk runs on the log's distinct raw signatures, each weighted by
-    how many traces share it.  Per distinct row it precomputes the
-    generalized activity sequence and, per (attribute, level), the value
-    sequence with the full-masking rule already applied where the
-    activity became the wildcard; a node check then only counts tuples of
-    cached pieces.
+    how many traces share it, and a node key is one interned int per
+    perspective.  Rows whose flow holds a wildcard are masked once, on
+    their raw values, since every level maps ``⋆`` to itself.
     """
     rows = Counter(trace_signature(trace, selected) for trace in log.traces)
     weights = list(rows.values())
-    flows = [
-        tuple(activity_hierarchy.generalize(a, activity_level) for a in flow)
-        for flow, _ in rows
-    ]
-    masks = [tuple(symbol == WILDCARD for symbol in flow) for flow in flows]
-    columns: dict[tuple[str, int], list[tuple[str, ...]]] = {}
+    flows = list(activity_hierarchy.images((flow for flow, _ in rows), activity_level))
+    masked = [i for i, flow in enumerate(flows) if WILDCARD in flow]
+    columns: dict[tuple[str, int], list[int]] = {}
     for position, attr in enumerate(selected):
         hierarchy = attribute_hierarchies[attr]
         raw = [sequences[position][1] for _, sequences in rows]
+        for i in masked:
+            raw[i] = tuple(WILDCARD if a == WILDCARD else v for a, v in zip(flows[i], raw[i]))
         for level in range(hierarchy.depth + 1):
-            columns[attr, level] = [
-                tuple(
-                    WILDCARD if masked else hierarchy.generalize(value, level)
-                    for value, masked in zip(values, mask)
-                )
-                for values, mask in zip(raw, masks)
-            ]
+            columns[attr, level] = _interned(hierarchy.images(raw, level))
 
+    flow_ids = _interned(flows)
     depths = [attribute_hierarchies[attr].depth for attr in selected]
     for checked, levels in enumerate(_ascending_vectors(depths), start=1):
         streams = [columns[pair] for pair in zip(selected, levels)]
-        sizes: dict[tuple, int] = {}
-        for key, weight in zip(zip(flows, *streams), weights):
+        sizes: dict[tuple[int, ...], int] = {}
+        for key, weight in zip(zip(flow_ids, *streams), weights):
             sizes[key] = sizes.get(key, 0) + weight
         if min(sizes.values()) >= k:
             return levels, checked

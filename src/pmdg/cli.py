@@ -34,6 +34,7 @@ from .hierarchy import Hierarchy
 from .logio import (
     LogCsvSpec,
     PipelineConfig,
+    check_level_weights,
     load_config,
     read_hierarchy,
     read_log_csv,
@@ -401,11 +402,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not paths:
             raise ConfigError("--candidates names no hierarchy file")
         try:
-            weights = tuple(float(w) for w in args.weights.split(","))
+            weights = [float(w) for w in args.weights.split(",")]
         except ValueError:
             raise ConfigError(
                 f"--weights must be comma-separated numbers, got {args.weights!r}"
             ) from None
+        weights = check_level_weights(weights, "--weights")
         log = _read_log(args.input, spec, wildcard)
         attribute = None if args.perspective == "activity" else args.perspective
         candidates = [

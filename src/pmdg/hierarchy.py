@@ -11,14 +11,16 @@ row.
 Levels are global per perspective: level 0 is the raw data, level
 ``depth`` maps everything to ``⋆``.  The precision weight ``alpha(v)``
 counts how many leaves generalize to (or through) ``v``; it drives the
-handover-quality metrics.
+handover-quality metrics.  Hot paths generalize by per-level lookup
+tables, a sequence per ``map``; ``generalize`` stays the checked public
+API and their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateLeaf,
@@ -95,12 +97,25 @@ def validate_table(rows: Iterable[Sequence[str]]) -> HierarchyTable:
     return HierarchyTable(rows=normalized)
 
 
+class _LevelTable(dict):
+    """One level of a hierarchy: each value ``generalize`` accepts -> its
+    image.  Any other key raises the ``UnknownValue`` ``generalize`` raises."""
+
+    def __init__(self, name: str, images: Mapping[str, str]) -> None:
+        super().__init__(images)
+        self.name = name
+
+    def __missing__(self, value: str) -> str:
+        raise UnknownValue(f"{value!r} is not a leaf of the {self.name} hierarchy")
+
+
 class Hierarchy:
     """A generalization hierarchy for one perspective.
 
     ``attribute`` names the log attribute the hierarchy applies to;
     ``None`` marks a hierarchy over activity labels (the control-flow
-    perspective).
+    perspective).  :meth:`lookup` gives one table per level, from each
+    value :meth:`generalize` accepts to its result.
     """
 
     def __init__(self, table: HierarchyTable, attribute: str | None = None):
@@ -109,6 +124,16 @@ class Hierarchy:
         self.depth = table.depth
         self.leaves = table.leaves
         self._row_by_leaf = {row[0]: row for row in table.rows}
+        # A ``⊥`` that is not a leaf stays ``⊥`` below the root; ``⋆`` is no leaf.
+        self._lookup = tuple(
+            _LevelTable(
+                self.name,
+                {MISSING: MISSING if level < self.depth else WILDCARD}
+                | {row[0]: row[level] for row in table.rows}
+                | {WILDCARD: WILDCARD},
+            )
+            for level in range(self.depth + 1)
+        )
         counts: dict[str, set[str]] = {}
         for row in table.rows:
             for value in row:
@@ -145,6 +170,17 @@ class Hierarchy:
         if value == MISSING:
             return MISSING if level < self.depth else WILDCARD
         raise UnknownValue(f"{value!r} is not a leaf of the {self.name} hierarchy")
+
+    def lookup(self, level: int) -> Mapping[str, str]:
+        """The level's table: each value ``generalize`` accepts -> its image."""
+        if not 0 <= level <= self.depth:
+            raise ValueError(f"level {level} out of range 0..{self.depth} for {self.name}")
+        return self._lookup[level]
+
+    def images(self, sequences: Iterable[Sequence[str]], level: int) -> Iterator[tuple]:
+        """Each sequence generalized to ``level``, by table lookup."""
+        table = self.lookup(level)
+        return (tuple(map(table.__getitem__, sequence)) for sequence in sequences)
 
     def alpha(self, value: str) -> int:
         """Number of leaves whose generalization path contains ``value``.
@@ -223,7 +259,7 @@ def apply_to_log(
     Masked events keep their ``origin_index``; inserted wildcard events
     (all ``⋆``) come out as they went in.
 
-    The generalization is worked out once per distinct input event, keyed
+    The generalization is looked up once per distinct input event, keyed
     by its activity, origin and values in schema order, and each distinct
     image is one ``Event`` shared by every trace that holds it.  An
     unknown value raises :class:`~pmdg.errors.UnknownValue` at the first
@@ -237,8 +273,9 @@ def apply_to_log(
             raise ValueError(f"no hierarchy supplied for attribute {attr!r}")
 
     schema = log.schema
+    activities = activity_hierarchy.lookup(levels.activity_level)
     generalized = [
-        (schema.index(attr), attribute_hierarchies[attr], level)
+        (schema.index(attr), attribute_hierarchies[attr].lookup(level))
         for attr, level in levels.attribute_levels.items()
     ]
     # Distinct event objects in order of first appearance, so the first
@@ -255,14 +292,12 @@ def apply_to_log(
         values = [attributes[attr] for attr in schema]
         key = (event.activity, origin, *values)
         if key not in images:
-            activity = activity_hierarchy.generalize(
-                event.activity, levels.activity_level
-            )
+            activity = activities[event.activity]
             if activity == WILDCARD:
                 values = [WILDCARD] * len(values)
             else:
-                for at, hierarchy, level in generalized:
-                    values[at] = hierarchy.generalize(values[at], level)
+                for at, table in generalized:
+                    values[at] = table[values[at]]
             images[key] = pool[(activity, origin, *values)]
         image_of[ident] = images[key]
 

@@ -28,6 +28,7 @@ file without events raises :class:`EmptyLog`.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -395,6 +396,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def check_level_weights(raw: object, label: str) -> tuple[float, ...]:
+    """``raw`` as level weights, or :class:`ConfigError`."""
+    _require(  # the range test is exact for ints and false for nan
+        isinstance(raw, list) and raw and all(
+            isinstance(w, (int, float)) and not isinstance(w, bool)
+            and 0 <= w <= sys.float_info.max for w in raw
+        ),
+        f"{label} must be a non-empty list of finite, non-negative numbers",
+    )
+    return tuple(map(float, raw))
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a YAML pipeline configuration."""
     try:
@@ -471,16 +484,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         notion in UTILITY_NOTIONS,
         f"{path}: utility_notion must be one of {UTILITY_NOTIONS}",
     )
-    weights_raw = raw.get("level_weights", [1.0])
-    _require(
-        isinstance(weights_raw, list)
-        and weights_raw
-        and all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0
-            for w in weights_raw
-        ),
-        f"{path}: level_weights must be a non-empty list of non-negative numbers",
-    )
+    weights = check_level_weights(raw.get("level_weights", [1.0]), f"{path}: level_weights")
     drop = raw.get("drop_singletons", False)
     _require(isinstance(drop, bool), f"{path}: drop_singletons must be a boolean")
     wildcard = raw.get("wildcard", WILDCARD)
@@ -525,7 +529,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         attribute_hierarchies=attr_hierarchies,
         vectorization=vectorization,
         utility_notion=notion,
-        level_weights=tuple(float(w) for w in weights_raw),
+        level_weights=weights,
         drop_singletons=drop,
         wildcard=wildcard,
         csv=csv_spec,

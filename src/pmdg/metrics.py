@@ -18,8 +18,8 @@ Two views of how much analysis value survives anonymization:
   where ``alpha(v)`` counts the leaves generalizing to ``v``: an
   untouched endpoint contributes 1, one blurred to the wildcard
   contributes only the chance share ``alpha(e)/alpha(⋆)``.
-  ``handover_precision`` averages this over a whole log pair and scales
-  to a percentage.
+  ``handover_precision`` averages this over a whole log pair, scoring
+  each distinct (``e``, ``e'``) endpoint once, and scales to a percentage.
 
 Generalized events are matched to their originals by column, or by
 order among the non-padding events when the original is the narrower
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import IoFailure, LinkageBroken, UnknownAttribute
 from .hierarchy import Hierarchy
@@ -85,16 +85,16 @@ def handover_graph(log: EventLog, attribute: str) -> HandoverGraph:
     )
 
 
+def _endpoint(hierarchy: Hierarchy, original: str, generalized: str) -> float:
+    domain = hierarchy.alpha(WILDCARD)
+    return 1.0 - hierarchy.alpha(generalized) / domain + hierarchy.alpha(original) / domain
+
+
 def handover_preservation(pair: HandoverPair, hierarchy: Hierarchy) -> float:
     """Preservation score of one handover, in [0, 1]."""
-    domain = hierarchy.alpha(WILDCARD)
-
-    def endpoint(original: str, generalized: str) -> float:
-        return 1.0 - hierarchy.alpha(generalized) / domain + hierarchy.alpha(original) / domain
-
     return (
-        endpoint(pair.original[0], pair.generalized[0])
-        + endpoint(pair.original[1], pair.generalized[1])
+        _endpoint(hierarchy, pair.original[0], pair.generalized[0])
+        + _endpoint(hierarchy, pair.original[1], pair.generalized[1])
     ) / 2.0
 
 
@@ -119,12 +119,17 @@ def collect_handover_pairs(
     counts differ — e.g. a pre-vectorization log against a re-read file,
     where fully masked events came back as padding.
     """
+    pairs = _handovers(original, anonymized, attribute)
+    return [HandoverPair((o1, o2), (g1, g2)) for o1, o2, g1, g2 in pairs]
+
+
+def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Iterator[tuple]:
+    """``collect_handover_pairs`` as plain ``(o1, o2, g1, g2)`` tuples."""
     if attribute not in original.schema:
         raise UnknownAttribute(f"original log has no attribute {attribute!r}")
     if attribute not in anonymized.schema:
         raise UnknownAttribute(f"anonymized log has no attribute {attribute!r}")
     images = {trace.case_id: trace for trace in anonymized.traces}
-    pairs: list[HandoverPair] = []
     for trace in original.traces:
         image = images.get(trace.case_id)
         if image is None:
@@ -144,15 +149,9 @@ def collect_handover_pairs(
                     f"{len(shown)} non-padding events in the anonymized log"
                 )
             matched = list(zip(real, shown))
-        values = [
-            (event.attributes[attribute], image_event.attributes[attribute])
-            for event, image_event in matched
-        ]
-        pairs.extend(
-            HandoverPair((first[0], second[0]), (first[1], second[1]))
-            for first, second in zip(values, values[1:])
-        )
-    return pairs
+        before = [event.attributes[attribute] for event, _ in matched]
+        after = [image_event.attributes[attribute] for _, image_event in matched]
+        yield from zip(before, before[1:], after, after[1:])
 
 
 def handover_precision(
@@ -173,14 +172,19 @@ def handover_precision(
     """
     if aggregate not in ("occurrences", "pairs"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    counts = Counter(collect_handover_pairs(original, anonymized, attribute))
+    counts = Counter(_handovers(original, anonymized, attribute))
     if not counts:
         return 100.0
+    # Score each distinct endpoint once; sum in ``sorted(HandoverPair)`` order.
+    scores: dict[tuple[str, str], float] = {}
     total = weight = 0.0
-    for pair, count in sorted(counts.items()):
+    for (o1, o2, g1, g2), count in sorted(counts.items()):
+        for endpoint in ((o1, g1), (o2, g2)):
+            if endpoint not in scores:
+                scores[endpoint] = _endpoint(hierarchy, *endpoint)
         if aggregate == "pairs":
             count = 1
-        total += count * handover_preservation(pair, hierarchy)
+        total += count * ((scores[o1, g1] + scores[o2, g2]) / 2.0)
         weight += count
     return 100.0 * total / weight
 

@@ -77,9 +77,9 @@ def _utility(
 ) -> float:
     """``level_utility`` from the distinct raw sequences and their counts:
     each distinct sequence is generalized once, weighted by its count."""
-    groups: Counter[tuple[str, ...]] = Counter()
-    for sequence, count in sequences.items():
-        groups[tuple(hierarchy.generalize(v, level) for v in sequence)] += count
+    groups: dict[tuple[str, ...], int] = {}
+    for image, count in zip(hierarchy.images(sequences, level), sequences.values()):
+        groups[image] = groups.get(image, 0) + count
     if notion == "class_count":
         return float(len(groups))
     if notion == "size_balance":
@@ -99,11 +99,17 @@ def score_hierarchy(
     ``weights`` gives a weight per level; a short list is extended with
     its last entry, so a single ``[1.0]`` weighs all levels equally.
     """
+    sequences = Counter(_value_sequences(log, hierarchy))
+    return _profile(sequences, hierarchy, weights, notion, name)
+
+
+def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
+             weights: Sequence[float], notion: str, name: str | None) -> UtilityProfile:
+    """``score_hierarchy`` from the distinct raw sequences and their counts."""
     if not weights:
         raise ValueError("weights must not be empty")
     padded = tuple(weights) + (weights[-1],) * max(0, hierarchy.depth - len(weights))
     padded = padded[: hierarchy.depth]
-    sequences = Counter(_value_sequences(log, hierarchy))
     per_level = tuple(
         _utility(sequences, hierarchy, level, notion)
         for level in range(1, hierarchy.depth + 1)
@@ -132,8 +138,10 @@ def select(
     """
     if not candidates:
         raise ValueError("no candidate hierarchies given")
+    perspectives = {h.attribute: h for h in candidates}  # extract each once
+    sequences = {a: Counter(_value_sequences(log, h)) for a, h in perspectives.items()}
     profiles = tuple(
-        score_hierarchy(log, h, weights, notion, name=f"candidate_{i}")
+        _profile(sequences[h.attribute], h, weights, notion, f"candidate_{i}")
         for i, h in enumerate(candidates)
     )
     winner = min(

@@ -233,6 +233,18 @@ MALFORMED_INPUTS = [
     ("select-bad-weights",
      ["select-hierarchy", "--in", "{log}", "--perspective", "role",
       "--candidates", "{role}", "--weights", "a"], 2),
+    ("select-negative-weight",
+     ["select-hierarchy", "--in", "{log}", "--perspective", "role",
+      "--candidates", "{role}", "--weights=-1"], 2),
+    ("select-nan-weight",
+     ["select-hierarchy", "--in", "{log}", "--perspective", "role",
+      "--candidates", "{role}", "--weights", "nan"], 2),
+    ("select-inf-weight",
+     ["select-hierarchy", "--in", "{log}", "--perspective", "role",
+      "--candidates", "{role}", "--weights", "inf"], 2),
+    ("inf-weight-config",
+     ["anonymize", "--config", "{inf_weight_config}", "--in", "{log}", "--out", "{out}"],
+     2),
     ("select-no-candidates",
      ["select-hierarchy", "--in", "{log}", "--perspective", "role",
       "--candidates", ","], 2),
@@ -293,6 +305,9 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     (workdir / "bool_k_config.yaml").write_text(
         _config_text(workdir, k="true"), encoding="utf-8"
     )
+    (workdir / "inf_weight_config.yaml").write_text(
+        _config_text(workdir, extra="level_weights: [.inf]\n"), encoding="utf-8"
+    )
     (workdir / "dup_header_log.csv").write_text(
         "case,activity,role,role\n1,A,GP,GP\n", encoding="utf-8"
     )
@@ -328,6 +343,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "latin1_config": "latin1_config.yaml",
             "delimiter_config": "delimiter_config.yaml",
             "bool_k_config": "bool_k_config.yaml",
+            "inf_weight_config": "inf_weight_config.yaml",
             "dup_header_log": "dup_header_log.csv",
             "dup_columns_config": "dup_columns_config.yaml",
             "big_log": "big_log.csv",
@@ -342,3 +358,47 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     assert code == expected
     assert err.startswith("pmdg: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra_rows, second_candidate, message",
+    [
+        # One candidate per perspective: phase 1 meets the activity first.
+        ("09,Register,Admin\n09,Triage,GP\n", None,
+         "'Triage' is not a leaf of the activity hierarchy"),
+        # Two activity candidates: hierarchy selection meets it first.
+        ("09,Register,Admin\n09,Triage,GP\n", "activity",
+         "'Triage' is not a leaf of the activity hierarchy"),
+        # One candidate: the phase-2 precompute meets the value first.
+        ("09,Register,Admin\n09,Consultation,Nurse\n", None,
+         "'Nurse' is not a leaf of the role hierarchy"),
+        # Two role candidates: hierarchy selection meets it first.
+        ("09,Register,Admin\n09,Consultation,Nurse\n", "role",
+         "'Nurse' is not a leaf of the role hierarchy"),
+    ],
+    ids=["activity-phase1", "activity-selection", "role-phase2", "role-selection"],
+)
+def test_unknown_value_exits_3_with_one_message(
+    workdir, capsys, extra_rows, second_candidate, message
+):
+    (workdir / "log.csv").write_text(CLINIC_CSV + extra_rows, encoding="utf-8")
+    (workdir / "act2.csv").write_text(
+        "".join(f"{line.split(',')[0]},⋆\n" for line in ACTIVITY_H.splitlines()),
+        encoding="utf-8",
+    )
+    (workdir / "role2.csv").write_text(
+        "Admin,Staff,⋆\nGP,Staff,⋆\nCA,Staff,⋆\n", encoding="utf-8"
+    )
+    config = _config_text(workdir)
+    if second_candidate == "activity":
+        config = config.replace("act.csv]", f"act.csv, {workdir / 'act2.csv'}]")
+    elif second_candidate == "role":
+        config = config.replace("role.csv]", f"role.csv, {workdir / 'role2.csv'}]")
+    (workdir / "config.yaml").write_text(config, encoding="utf-8")
+    # k = 1 keeps every level at 0, so no value is masked before it is met.
+    code = main([
+        "anonymize", "--config", str(workdir / "config.yaml"),
+        "--in", str(workdir / "log.csv"), "--out", str(workdir / "o.csv"), "--k", "1",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == f"pmdg: data error: {message}\n"

@@ -88,6 +88,45 @@ def test_generalize_wildcard_and_missing():
     assert explicit.generalize(MISSING, 1) == "known"
 
 
+def _table_hierarchies(rng):
+    """Random tables, plus hand-built ones where ``⊥`` is and is not a leaf."""
+    for _ in range(60):
+        yield random_hierarchy(
+            rng, n_leaves=rng.randint(1, 10), depth=rng.randint(1, 4),
+            attribute=rng.choice([None, "role"]),
+        )
+    yield Hierarchy.from_rows([("a", WILDCARD)])  # depth 1: ``⊥`` is ``⋆`` at once
+    yield Hierarchy.from_rows([("a", "g", WILDCARD), ("b", "g", WILDCARD)])
+    yield Hierarchy.from_rows(
+        [("a", "a", "g", WILDCARD), (MISSING, "gap", "g", WILDCARD)], attribute="role"
+    )
+    yield Hierarchy.from_rows([(MISSING, MISSING, WILDCARD), ("b", "b", WILDCARD)])
+
+
+def test_lookup_tables_match_generalize():
+    rng = random.Random(41)
+    for hierarchy in _table_hierarchies(rng):
+        accepted = (*hierarchy.leaves, WILDCARD, MISSING)
+        for level in range(hierarchy.depth + 1):
+            expected = {v: hierarchy.generalize(v, level) for v in accepted}
+            table = hierarchy.lookup(level)
+            assert dict(table) == expected  # the same values, no others
+            assert list(hierarchy.images([accepted, ()], level)) == [
+                tuple(expected[v] for v in accepted), ()
+            ]
+            with pytest.raises(UnknownValue) as raised:
+                list(hierarchy.images([accepted, (accepted[0], "nope")], level))
+            with pytest.raises(UnknownValue) as oracle:
+                hierarchy.generalize("nope", level)
+            assert str(raised.value) == str(oracle.value)
+            assert str(oracle.value) == f"'nope' is not a leaf of the {hierarchy.name} hierarchy"
+        for level in (-1, hierarchy.depth + 1):
+            with pytest.raises(ValueError):
+                hierarchy.lookup(level)
+            with pytest.raises(ValueError):
+                list(hierarchy.images([accepted], level))
+
+
 def test_alpha_counts_leaves():
     activity, role, _ = clinic_hierarchies()
     assert role.alpha("GP") == 1
@@ -219,6 +258,22 @@ def test_apply_to_log_validates_levels():
         apply_to_log(log, LevelVector(0, {"role": 1}), activity, {})
     with pytest.raises(ValueError):
         apply_to_log(log, LevelVector(0, {"role": 5}), activity, {"role": role})
+
+
+def test_apply_to_log_unknown_values_raise_generalize_message():
+    activity, role, _ = clinic_hierarchies()
+    for cells, message in (
+        (("Triage", "GP"), "'Triage' is not a leaf of the activity hierarchy"),
+        (("Register", "Nurse"), "'Nurse' is not a leaf of the role hierarchy"),
+    ):
+        log = EventLog(
+            schema=("role",),
+            traces=clinic_log().traces
+            + (Trace("09", (Event(cells[0], {"role": cells[1]}),)),),
+        )
+        with pytest.raises(UnknownValue) as raised:
+            apply_to_log(log, LevelVector(0, {"role": 1}), activity, {"role": role})
+        assert str(raised.value) == message
 
 
 def test_apply_to_log_reads_values_in_schema_order():

@@ -318,6 +318,8 @@ csv:
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [-1]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: []\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [true]\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [.inf]\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [1, .nan]\n",
         "k: 2\nactivity_hierarchies: [a.csv]\nsurprise: 1\n",
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {separator: x}\n",
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {case_column: 5}\n",
@@ -328,6 +330,16 @@ csv:
 )
 def test_load_config_rejects_invalid(tmp_path, snippet):
     path = write(tmp_path / "bad.yaml", snippet)
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_weight_beyond_float_range(tmp_path):
+    huge = "9" * 400  # a YAML integer that no float can hold
+    path = write(
+        tmp_path / "bad.yaml",
+        f"k: 2\nactivity_hierarchies: [a.csv]\nlevel_weights: [{huge}]\n",
+    )
     with pytest.raises(ConfigError):
         load_config(path)
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from pmdg import (
     EventLog,
     HandoverPair,
     Hierarchy,
+    LevelVector,
     LinkageBroken,
     Trace,
     UnknownAttribute,
+    apply_to_log,
     collect_handover_pairs,
     export_dot,
     handover_graph,
@@ -215,6 +218,40 @@ def test_collect_handover_pairs_agrees_on_all_input_forms(tmp_path):
             collect_handover_pairs(vectorized, reread, attr),
         ]
         assert forms[0] == forms[1] == forms[2]
+
+
+def _oracle_precision(original, anonymized, attribute, hierarchy, aggregate):
+    """``handover_precision`` as one ``handover_preservation`` per pair, summed
+    in ``sorted`` order of the ``HandoverPair`` counts."""
+    counts = Counter(collect_handover_pairs(original, anonymized, attribute))
+    if not counts:
+        return 100.0
+    total = weight = 0.0
+    for pair, count in sorted(counts.items()):
+        if aggregate == "pairs":
+            count = 1
+        total += count * handover_preservation(pair, hierarchy)
+        weight += count
+    return 100.0 * total / weight
+
+
+def test_handover_precision_is_bit_identical_to_per_pair_oracle():
+    rng = random.Random(61)
+    for _ in range(200):
+        log, activity, attr_hs = random_instance(rng, attrs=rng.randint(1, 3))
+        vectorized = vectorize_msa(log)
+        levels = LevelVector(
+            rng.randint(0, activity.depth),
+            {attr: rng.randint(0, h.depth) for attr, h in attr_hs.items()},
+        )
+        anonymized = apply_to_log(vectorized, levels, activity, attr_hs)
+        for original in (log, vectorized):
+            for attr, hierarchy in attr_hs.items():
+                for aggregate in ("occurrences", "pairs"):
+                    # ``==``, not approx: manifests print this value.
+                    assert handover_precision(
+                        original, anonymized, attr, hierarchy, aggregate
+                    ) == _oracle_precision(original, anonymized, attr, hierarchy, aggregate)
 
 
 def test_handover_precision_unknown_aggregate():
