@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientTraces
@@ -172,6 +173,8 @@ def search(
     never revisited: should the attribute lattice only satisfy k at its
     top (everything ``⋆``), that is still returned (with ``maxed_out``
     set and a warning logged) rather than trading activity precision.
+    Every value of a selected attribute is looked up before any is masked,
+    so one its hierarchy lacks raises ``UnknownValue`` whatever k is.
     """
     selected = sorted(set(selected))
     unknown = [a for a in selected if a not in log.schema]
@@ -181,6 +184,9 @@ def search(
     if missing:
         raise ValueError(f"no hierarchy for selected attributes: {missing}")
 
+    for attr in selected:
+        values = dict.fromkeys(chain.from_iterable(t.columns[attr] for t in log.traces))
+        list(map(attribute_hierarchies[attr].lookup(0).__getitem__, values))
     activity_level = search_control_flow(log, activity_hierarchy, k)
     chosen_levels, checked = _walk_attribute_lattice(
         log, activity_level, activity_hierarchy, attribute_hierarchies, selected, k

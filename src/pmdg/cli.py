@@ -17,7 +17,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -90,22 +91,10 @@ def _sha256_file(path: str | Path) -> str:
 
 
 def _sha256_config(config: PipelineConfig) -> str:
-    canonical = json.dumps(
-        {
-            "k": config.k,
-            "quasi_identifiers": list(config.quasi_identifiers),
-            "activity_hierarchies": list(config.activity_hierarchies),
-            "attribute_hierarchies": {
-                k: list(v) for k, v in sorted(config.attribute_hierarchies.items())
-            },
-            "vectorization": config.vectorization,
-            "utility_notion": config.utility_notion,
-            "level_weights": list(config.level_weights),
-            "drop_singletons": config.drop_singletons,
-            "wildcard": config.wildcard,
-        },
-        sort_keys=True,
-    )
+    """Digest of every setting but the CSV layout."""
+    settings = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "csv"}
+    settings["attribute_hierarchies"] = dict(config.attribute_hierarchies)
+    canonical = json.dumps(settings, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -130,9 +119,8 @@ def _pick_hierarchy(
     winner, profiles = select(
         log, candidates, config.level_weights, config.utility_notion
     )
-    chosen = candidates.index(winner)
-    return winner, paths[chosen], tuple(
-        {"path": paths[i], "total": profiles[i].total} for i in range(len(paths))
+    return winner, paths[candidates.index(winner)], tuple(
+        {"path": path, "total": profile.total} for path, profile in zip(paths, profiles)
     )
 
 
@@ -174,24 +162,21 @@ def run_pipeline(
     timings["vectorize"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    activity_hierarchy, activity_path, activity_scores = _pick_hierarchy(
-        vectorized, config.activity_hierarchies, None, config
-    )
-    attribute_hierarchies = {}
-    chosen_paths: dict = {"activity": activity_path}
+    attribute_hierarchies: dict = {}
+    chosen_paths: dict = {}
     scores: dict = {}
-    if activity_scores:
-        scores["activity"] = list(activity_scores)
-    for attr in config.quasi_identifiers:
-        hierarchy, path, attr_scores = _pick_hierarchy(
-            vectorized, config.attribute_hierarchies[attr], attr, config
+    for attr, paths in [(None, config.activity_hierarchies)] + [
+        (attr, config.attribute_hierarchies[attr]) for attr in config.quasi_identifiers
+    ]:
+        name = "activity" if attr is None else attr
+        attribute_hierarchies[attr], chosen_paths[name], found = _pick_hierarchy(
+            vectorized, paths, attr, config
         )
-        attribute_hierarchies[attr] = hierarchy
-        chosen_paths[attr] = path
-        if attr_scores:
-            scores[attr] = list(attr_scores)
+        if found:
+            scores[name] = list(found)
     if scores:
         chosen_paths["scores"] = scores
+    activity_hierarchy = attribute_hierarchies.pop(None)
     timings["select_hierarchies"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -224,9 +209,7 @@ def run_pipeline(
         )
         timings["write"] = time.perf_counter() - started
 
-    histogram: dict[int, int] = {}
-    for size in result.class_sizes:
-        histogram[size] = histogram.get(size, 0) + 1
+    histogram = Counter(result.class_sizes)
     manifest = RunManifest(
         tool_version=f"pmdg {__version__}",
         input_path=str(input_path),
@@ -269,7 +252,10 @@ def _csv_spec_from_args(args: argparse.Namespace) -> LogCsvSpec:
     )
 
 
-def _add_csv_options(parser: argparse.ArgumentParser) -> None:
+def _log_command(commands, name: str, about: str, **input_options) -> argparse.ArgumentParser:
+    """A subcommand that reads a log: ``--in`` plus the CSV layout options."""
+    parser = commands.add_parser(name, help=about)
+    parser.add_argument("--in", dest="input", required=True, **input_options)
     parser.add_argument("--case-column", default="case")
     parser.add_argument("--activity-column", default="activity")
     parser.add_argument(
@@ -281,6 +267,7 @@ def _add_csv_options(parser: argparse.ArgumentParser) -> None:
         "--wildcard-literal", default=WILDCARD,
         help=f"literal standing for the wildcard in files (default: {WILDCARD})",
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,21 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pmdg {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("preprocess", help="drop single-occurrence variants")
-    p.add_argument("--in", dest="input", required=True)
+    p = _log_command(commands, "preprocess", "drop single-occurrence variants")
     p.add_argument("--out", dest="output", required=True)
-    _add_csv_options(p)
 
-    p = commands.add_parser("vectorize", help="pad traces to a uniform length")
-    p.add_argument("--in", dest="input", required=True)
+    p = _log_command(commands, "vectorize", "pad traces to a uniform length")
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="msa")
-    _add_csv_options(p)
 
-    p = commands.add_parser(
-        "select-hierarchy", help="score candidate hierarchies against a log"
-    )
-    p.add_argument("--in", dest="input", required=True)
+    p = _log_command(commands, "select-hierarchy", "score candidate hierarchies against a log")
     p.add_argument(
         "--perspective", required=True,
         help='attribute name, or "activity" for the control-flow perspective',
@@ -316,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notion", choices=UTILITY_NOTIONS, default="class_count")
     p.add_argument("--weights", default="1",
                    help="comma-separated per-level weights (default: 1)")
-    _add_csv_options(p)
 
     p = commands.add_parser("anonymize", help="run the full pipeline")
     p.add_argument("--config", required=True)
@@ -325,33 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="override the configured k")
     p.add_argument("--report", default=None, help="write the run manifest JSON here")
 
-    p = commands.add_parser("validate", help="check k-anonymity of a log")
-    p.add_argument("--in", dest="input", required=True)
+    p = _log_command(commands, "validate", "check k-anonymity of a log")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--attr", action="append", default=[],
         help="quasi-identifier attribute (repeatable or comma-separated)",
     )
-    _add_csv_options(p)
 
     metrics = commands.add_parser("metrics", help="utility metrics")
     sub = metrics.add_subparsers(dest="metric", required=True)
 
-    p = sub.add_parser("variants", help="count remaining control-flow variants")
-    p.add_argument("--in", dest="input", required=True)
-    _add_csv_options(p)
+    _log_command(sub, "variants", "count remaining control-flow variants")
 
-    p = sub.add_parser("handover-graph", help="export the handover-of-work graph")
-    p.add_argument("--in", dest="input", required=True)
+    p = _log_command(sub, "handover-graph", "export the handover-of-work graph")
     p.add_argument("--attr", required=True)
     p.add_argument("--dot", default=None, help="write DOT to this path")
-    _add_csv_options(p)
 
-    p = sub.add_parser(
-        "handover-precision", help="how precise handovers remain after generalization"
+    p = _log_command(
+        sub, "handover-precision", "how precise handovers remain after generalization",
+        help="the original (pre-anonymization) log",
     )
-    p.add_argument("--in", dest="input", required=True,
-                   help="the original (pre-anonymization) log")
     p.add_argument("--anonymized", required=True)
     p.add_argument("--attr", required=True)
     p.add_argument("--hierarchy", required=True)
@@ -361,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=STRATEGIES, default="msa",
         help="vectorization strategy the anonymized log was built with",
     )
-    _add_csv_options(p)
 
     return parser
 
@@ -425,9 +396,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.k < 1:
             raise ConfigError(f"k must be at least 1, got {args.k}")
         log = _read_log(args.input, spec, wildcard)
-        selected: list[str] = []
-        for chunk in args.attr:
-            selected.extend(a.strip() for a in chunk.split(",") if a.strip())
+        selected = [a.strip() for chunk in args.attr for a in chunk.split(",") if a.strip()]
         for attr in selected:
             if attr not in log.schema:
                 raise UnknownAttribute(f"log has no attribute {attr!r}")
@@ -474,28 +443,25 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+# Each failure's stderr prefix and exit code; the first matching class wins.
+_FAILURES = (
+    (ConfigError, "configuration error: ", 2),
+    (ParseError, "parse error: ", 3),
+    (DataError, "data error: ", 3),
+    (InsufficientTraces, "", 4),
+    (IoFailure, "i/o error: ", 5),
+    (OSError, "i/o error: ", 5),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"pmdg: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"pmdg: parse error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"pmdg: data error: {exc}", file=sys.stderr)
-        return 3
-    except InsufficientTraces as exc:
-        print(f"pmdg: {exc}", file=sys.stderr)
-        return 4
-    except IoFailure as exc:
-        print(f"pmdg: i/o error: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"pmdg: i/o error: {exc}", file=sys.stderr)
-        return 5
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(exc, kind))
+        print(f"pmdg: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .errors import (
     NonFunctionalLevel,
     UnknownValue,
 )
-from .model import MISSING, WILDCARD, Event, EventLog, Trace, _EventPool, _nfc
+from .model import MISSING, WILDCARD, EventLog, Trace, _Memo, _nfc
 
 
 @dataclass(frozen=True)
@@ -259,11 +259,12 @@ def apply_to_log(
     Masked events keep their ``origin_index``; inserted wildcard events
     (all ``⋆``) come out as they went in.
 
-    The generalization is looked up once per distinct input event, keyed
-    by its activity, origin and values in schema order, and each distinct
-    image is one ``Event`` shared by every trace that holds it.  An
-    unknown value raises :class:`~pmdg.errors.UnknownValue` at the first
-    event, in log order, that holds it.
+    Each distinct column is generalized once, by one ``map`` through the
+    level's table, before any masking, so an unknown value raises
+    :class:`~pmdg.errors.UnknownValue` wherever it stands: the first in
+    the first trace that holds one, its activities read before its
+    attribute columns in schema order.  Equal image columns share one
+    tuple.
     """
     attribute_hierarchies = attribute_hierarchies or {}
     for attr in levels.attribute_levels:
@@ -272,40 +273,26 @@ def apply_to_log(
         if attr not in attribute_hierarchies:
             raise ValueError(f"no hierarchy supplied for attribute {attr!r}")
 
-    schema = log.schema
-    activities = activity_hierarchy.lookup(levels.activity_level)
-    generalized = [
-        (schema.index(attr), attribute_hierarchies[attr].lookup(level))
+    activities = activity_hierarchy.lookup(levels.activity_level).__getitem__
+    tables = {
+        attr: attribute_hierarchies[attr].lookup(level).__getitem__
         for attr, level in levels.attribute_levels.items()
-    ]
-    # Distinct event objects in order of first appearance, so the first
-    # unknown value met is the first in log order.
-    distinct: dict[int, Event] = {}
-    for trace in log.traces:
-        distinct.update(zip(map(id, trace.events), trace.events))
-    pool = _EventPool(schema)
-    images: dict[tuple, Event] = {}  # input content -> its pooled image
-    image_of: dict[int, Event] = {}  # input object id -> its pooled image
-    for ident, event in distinct.items():
-        attributes = event.attributes
-        origin = event.origin_index
-        values = [attributes[attr] for attr in schema]
-        key = (event.activity, origin, *values)
-        if key not in images:
-            activity = activities[event.activity]
-            if activity == WILDCARD:
-                values = [WILDCARD] * len(values)
-            else:
-                for at, table in generalized:
-                    values[at] = table[values[at]]
-            images[key] = pool[(activity, origin, *values)]
-        image_of[ident] = images[key]
+    }
+    share = _Memo().__getitem__
 
-    traces = tuple(
-        Trace(
-            case_id=trace.case_id,
-            events=tuple(map(image_of.__getitem__, map(id, trace.events))),
-        )
-        for trace in log.traces
-    )
-    return EventLog(schema=schema, traces=traces)
+    def image(key: tuple) -> tuple:
+        attr, flow, column = key
+        if attr in tables:
+            column = tuple(map(tables[attr], column))
+        if WILDCARD in flow:
+            column = tuple(WILDCARD if a == WILDCARD else v for a, v in zip(flow, column))
+        return share(column)
+
+    flows = _Memo(lambda flow: share(tuple(map(activities, flow))))
+    images = _Memo(image)  # (attribute, image flow, column) -> image column
+    traces = []
+    for trace in log.traces:
+        flow = flows[trace.activities]
+        columns = {attr: images[attr, flow, trace.columns[attr]] for attr in log.schema}
+        traces.append(Trace.from_columns(trace.case_id, flow, columns, trace.origins))
+    return EventLog(schema=log.schema, traces=tuple(traces))

@@ -14,14 +14,14 @@ the real events of its case as ``origin_index``.  A fully masked event
 padding once serialized — the one lossy corner of the format, flagged in
 ``write_log_csv``.
 
-Both log readers make one streaming pass: CSV rows become events as they
-are read, and XES is parsed one top-level element at a time, so the file
-is never held whole.  Each distinct cell is canonicalized and
-NFC-normalized once per read, and every event holding that value shares
-one string.  Likewise each distinct event (activity, origin and values)
-is built once per read, and every trace holding it shares that one
-immutable ``Event``.  Case ids are grouped and deduplicated on their NFC
-form, so the two Unicode spellings of a name are one case id.  A log
+Both log readers make one streaming pass straight into each trace's
+columns (see :class:`~pmdg.model.Trace`): CSV row by row, and XES through
+``pyexpat`` start and end handlers, with no element tree, so the file is
+never held whole and no ``Event`` is built.  Each distinct cell is
+canonicalized and NFC-normalized once per read, and every trace holding
+that value shares one string; equal columns share one tuple.  Case ids
+are grouped and deduplicated on their NFC form, so the two Unicode
+spellings of a name are one case id, and so are attribute names.  A log
 file without events raises :class:`EmptyLog`.
 """
 
@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-from xml.etree import ElementTree
+from typing import BinaryIO, Mapping, Sequence
+from xml.parsers import expat
 
 import yaml
 
@@ -47,7 +49,7 @@ from .errors import (
     RaggedRow,
 )
 from .hierarchy import HierarchyTable, validate_table
-from .model import MISSING, WILDCARD, Event, EventLog, Trace, _EventPool, _nfc
+from .model import MISSING, WILDCARD, EventLog, Trace, _Memo, _nfc
 from .selection import UTILITY_NOTIONS
 from .vectorize import STRATEGIES
 
@@ -86,48 +88,36 @@ def _canonical(cell: str, wildcard: str) -> str:
     return cell
 
 
-class _Cells(dict):
-    """Raw cell -> canonical, NFC-normalized value, filled on first sight.
-
-    One instance per read call.  Raw cells that read as equal values (the
-    two Unicode forms of a word, or ``⋆`` and the wildcard literal) get one
-    shared string, so a log holds each distinct value once and ``Event``'s
-    own NFC pass returns it unchanged.
-    """
-
-    def __init__(self, wildcard: str) -> None:
-        super().__init__()
-        self.wildcard = wildcard
-        self.values = {WILDCARD: WILDCARD, MISSING: MISSING}
-
-    def __missing__(self, raw: str) -> str:
-        value = _nfc(_canonical(raw, self.wildcard))
-        value = self[raw] = self.values.setdefault(value, value)
-        return value
+def _cells(wildcard: str) -> _Memo:
+    """Raw cell -> canonical, NFC-normalized value, once per distinct raw
+    cell.  Raw cells that read as equal values (the two Unicode forms of a
+    word, or ``⋆`` and the wildcard literal) get one shared string, so a
+    log holds each distinct value once."""
+    values = _Memo()
+    return _Memo(lambda raw: values[_nfc(_canonical(raw, wildcard))])
 
 
 def read_log_csv(
     path: str | Path, spec: LogCsvSpec | None = None, *, wildcard: str = WILDCARD
 ) -> EventLog:
-    """Read an event log from CSV in one streaming pass.
-
-    Events are built row by row; every distinct cell is canonicalized and
-    NFC-normalized once, and equal cells share one string.  Each distinct
-    event is built once and shared.  Rows are grouped into cases on the
-    NFC form of their case id.
+    """Read an event log from CSV in one streaming pass: rows are grouped
+    into cases on the NFC form of their case id, and each case's rows
+    become its trace's columns.
 
     Raises :class:`MissingColumn` if the header lacks a configured
     column, :class:`RaggedRow` (with the line number) if a data row does
     not match the header width, :class:`EmptyLog` if no data rows
-    remain, and :class:`ParseError` if the file is not UTF-8 or the
-    ``csv`` module rejects it (e.g. a cell over its field size limit).
-    Header faults are reported before any data row is read; otherwise
-    the first faulty row wins.
+    remain, and :class:`ParseError` if the header repeats a name (in
+    either Unicode form), the file is not UTF-8 or the ``csv`` module
+    rejects it (e.g. a cell over its field size limit).  Header faults
+    are reported before any data row is read; otherwise the first faulty
+    row wins.
     """
     spec = spec or LogCsvSpec()
-    cells = _Cells(wildcard)
-    cases: dict[str, list[Event]] = {}
-    origins: dict[str, int] = {}
+    cells = _cells(wildcard)
+    share = _Memo().__getitem__
+    cases: dict[str, list[tuple[str, ...]]] = {}  # NFC case id -> its rows
+    rows_of = _Memo(lambda raw: cases.setdefault(_nfc(raw), []))
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle, delimiter=spec.delimiter)
@@ -135,7 +125,7 @@ def read_log_csv(
                 header = next(reader)
             except StopIteration:
                 raise EmptyLog(f"{path}: file is empty") from None
-            if len(set(header)) != len(header):
+            if len(set(map(_nfc, header))) != len(header):
                 raise ParseError(f"{path}: header repeats a column name: {header}")
             for column in (spec.case_column, spec.activity_column):
                 if column not in header:
@@ -144,27 +134,22 @@ def read_log_csv(
             for column in schema:
                 if column not in header:
                     raise MissingColumn(f"{path}: header has no column {column!r}")
-            case_at = header.index(spec.case_column)
-            activity_at = header.index(spec.activity_column)
-            columns = [header.index(name) for name in schema]
-            pool = _EventPool(schema)
+            case_at, width = header.index(spec.case_column), len(header)
+            pick = itemgetter(  # a trailing extra index: always a tuple
+                header.index(spec.activity_column),
+                *(header.index(name) for name in schema),
+                0,
+            )
             for row in reader:
                 if not row:
                     continue
-                if len(row) != len(header):
+                if len(row) != width:
                     raise RaggedRow(
                         f"{path}: line {reader.line_num} has {len(row)} cells, "
-                        f"expected {len(header)}"
+                        f"expected {width}"
                     )
-                case_id = _nfc(row[case_at])
-                activity = cells[row[activity_at]]
-                values = [cells[row[at]] for at in columns]
-                if activity == WILDCARD and all(v == WILDCARD for v in values):
-                    origin = None
-                else:
-                    origin = origins.get(case_id, 0)
-                    origins[case_id] = origin + 1
-                cases.setdefault(case_id, []).append(pool[(activity, origin, *values)])
+                cells_of_row = map(cells.__getitem__, pick(row)[:-1])
+                rows_of[row[case_at]].append(share(tuple(cells_of_row)))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -174,11 +159,18 @@ def read_log_csv(
 
     if not cases:
         raise EmptyLog(f"{path}: no event rows")
-    traces = tuple(
-        Trace(case_id=case_id, events=tuple(events))
-        for case_id, events in cases.items()
-    )
-    return EventLog(schema=schema, traces=traces)
+    schema = tuple(map(_nfc, schema))
+    traces = []
+    for case_id, rows in cases.items():
+        activities, *columns = map(share, zip(*rows))
+        origins = range(len(rows))
+        if WILDCARD in activities:  # an all-wildcard row is padding: no origin
+            count = iter(origins)
+            origins = [None if row.count(WILDCARD) == len(row) else next(count) for row in rows]
+        traces.append(Trace.from_columns(
+            case_id, activities, dict(zip(schema, columns)), share(tuple(origins))
+        ))
+    return EventLog(schema=schema, traces=tuple(traces))
 
 
 def write_log_csv(
@@ -196,105 +188,143 @@ def write_log_csv(
     event.  Its column survives, so handover precision of a re-read log
     needs the vectorized original, which is matched by column.
 
-    The cells of each distinct event object are rendered once; only the
-    case id is written per row.
+    Each trace is written as its columns zipped into rows.
     """
     spec = spec or LogCsvSpec()
-    columns = spec.attribute_columns or log.schema
-    header = [spec.case_column, spec.activity_column, *columns]
-
-    def render(value: str) -> str:
-        if value == WILDCARD:
-            return wildcard
-        return value
-
-    rendered: dict[int, tuple[str, ...]] = {}  # keyed by the ids of log's events
-
-    def cells(event: Event) -> tuple[str, ...]:
-        found = rendered.get(id(event))
-        if found is None:
-            found = rendered[id(event)] = (
-                render(event.activity),
-                *(render(event.attributes[c]) for c in columns),
-            )
-        return found
-
+    names = spec.attribute_columns or log.schema
+    header = [spec.case_column, spec.activity_column, *names]
+    render = _Memo(lambda cell: wildcard if cell == WILDCARD else cell).__getitem__
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, delimiter=spec.delimiter, lineterminator="\n")
             writer.writerow(header)
             for trace in log.traces:
-                case_id = trace.case_id
-                writer.writerows((case_id, *cells(event)) for event in trace.events)
+                columns = [trace.activities, *map(trace.columns.__getitem__, names)]
+                if wildcard != WILDCARD:
+                    columns = [tuple(map(render, column)) for column in columns]
+                writer.writerows(zip(repeat(trace.case_id), *columns))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _strip_namespace(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo) -> tuple[list, tuple]:
+    """The traces with events of an XES file, each as its NFC case id, its
+    activities and one ``{key: value}`` dict per event, and the NFC
+    attribute keys in order of first sight.
+
+    ``pyexpat`` handlers track the depth: 1 is the root, 2 its children
+    (traces among them) and 3 a trace's children (its events and
+    ``<string>``s).  While an event is open a second pair of handlers
+    reads its attributes.  Element names arrive as ``namespace}local``.
+    """
+    local = _Memo(lambda name: name.rpartition("}")[2])
+    schema = _Memo()
+    keys = _Memo(lambda raw: schema[_nfc(raw)])
+    traces: list[tuple[str, list[str], list[dict[str, str]]]] = []
+    parser = expat.ParserCreate(None, "}")
+    depth = position = inner = 0
+    case_id: str | None = None  # None outside a trace
+    nameless: str | None = None  # the case id at the trace's first nameless event
+    activities: list[str] = []
+    values: list[dict[str, str]] = []
+    event: dict[str, str] = {}
+    activity: str | None = None
+
+    def start(element: str, attributes: dict[str, str]) -> None:
+        nonlocal depth, case_id, nameless, activities, values, event, activity
+        depth += 1
+        if depth == 3 and case_id is not None:
+            name = local[element]
+            if name == "event":
+                event, activity = {}, None
+                parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
+            elif name == "string" and attributes.get("key") == "concept:name":
+                case_id = attributes.get("value", case_id)
+        elif depth == 2 and local[element] == "trace":
+            case_id, nameless, activities, values = f"trace_{position}", None, [], []
+
+    def end(element: str) -> None:
+        nonlocal depth, position, case_id
+        depth -= 1
+        if depth == 1:
+            position += 1
+            if case_id is not None:
+                if nameless is not None:
+                    raise MissingConceptName(
+                        f"{path}: event without concept:name in trace {nameless!r}"
+                    )
+                if activities:
+                    traces.append((_nfc(case_id), activities, values))
+                case_id = None
+
+    def event_start(element: str, attributes: dict[str, str]) -> None:
+        nonlocal inner, activity
+        inner += 1
+        if inner == 1 and local[element] == "string":
+            key = attributes.get("key")
+            if key == "concept:name":
+                activity = attributes.get("value", "")
+            elif key:
+                event[keys[key]] = cells[attributes.get("value", "")]
+
+    def event_end(element: str) -> None:
+        nonlocal inner, depth, nameless
+        if inner:
+            inner -= 1
+            return
+        depth -= 1
+        if activity is not None:
+            activities.append(cells[activity])
+            values.append(event)
+        elif nameless is None:
+            nameless = case_id
+        parser.StartElementHandler, parser.EndElementHandler = start, end
+
+    def skipped(entity: str, is_parameter_entity: bool) -> None:
+        if not is_parameter_entity:  # ``ElementTree`` rejects it too
+            raise MalformedXml(f"{path}: undefined entity &{entity};")
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.SkippedEntityHandler = skipped
+    parser.ParseFile(handle)
+    return traces, tuple(schema)
 
 
 def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     """Read the string-attribute subset of an XES log in one streaming pass.
 
     Each ``<event>``'s ``concept:name`` becomes the activity (its absence
-    raises :class:`MissingConceptName`); every other ``<string>``
-    attribute becomes a schema attribute.  The schema is the union of
-    attribute keys over all events, in order of first appearance; events
-    that lack a key get ``⊥``.  Non-string attributes (timestamps,
-    numbers, nested containers) are ignored, and so are ``<trace>``
-    elements that are not direct children of the root.  Traces without
-    events are skipped; a file left with none raises :class:`EmptyLog`.
-    Case ids come from the trace-level ``concept:name``, defaulting to
-    ``trace_{n}`` for the root's n-th child element; a reused one gets the
-    first free ``~2``, ``~3``, ... suffix that no trace in the file
-    already uses.
-
-    Each top-level element is parsed, turned into plain tuples and
-    cleared before the next is read, so memory holds one trace's XML at a
-    time.  Every distinct cell is canonicalized and NFC-normalized once,
-    and equal cells share one string; each distinct event is built once
-    and shared.  Case ids are deduplicated on their NFC form.
+    raises :class:`MissingConceptName` once its trace has ended); every
+    other ``<string>`` attribute becomes a schema attribute.  The schema
+    is the union of attribute keys (NFC-normalized) over all events, in
+    order of first appearance; events that lack a key get ``⊥``.
+    Non-string attributes (timestamps, numbers, nested containers) are
+    ignored, and so are ``<trace>`` elements that are not direct children
+    of the root.  Traces without events are skipped; a file left with
+    none raises :class:`EmptyLog`.  Case ids come from the trace-level
+    ``concept:name``, defaulting to ``trace_{n}`` for the root's n-th
+    child element; a reused one gets the first free ``~2``, ``~3``, ...
+    suffix that no trace in the file already uses.  Malformed or
+    truncated XML raises :class:`MalformedXml`.  ``pyexpat`` handlers
+    turn the file into columns as it is parsed; no element tree is built.
     """
-    cells = _Cells(wildcard)
-    schema: dict[str, str] = {}
-    parsed: list[tuple[str, list[tuple[str, dict[str, str]]]]] = []
+    cells = _cells(wildcard)
     try:
         with open(path, "rb") as handle:
-            steps = ElementTree.iterparse(handle, ("start", "end"))
-            _, root = next(steps)
-            depth = position = 0
-            for kind, element in steps:
-                if kind == "start":
-                    depth += 1
-                    continue
-                depth -= 1
-                if depth:
-                    continue
-                # ``element`` is a complete child of the root.
-                if _strip_namespace(element.tag) == "trace":
-                    case_id, events = _xes_trace(
-                        element, f"trace_{position}", cells, schema, path
-                    )
-                    if events:
-                        parsed.append((_nfc(case_id), events))
-                position += 1
-                element.clear()
-                root.remove(element)
-    except ElementTree.ParseError as exc:
+            parsed, schema = _parse_xes(handle, path, cells)
+    except expat.ExpatError as exc:
         raise MalformedXml(f"{path}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if not parsed:
         raise EmptyLog(f"{path}: no events")
 
-    taken = {case_id for case_id, _ in parsed}
+    taken = {case_id for case_id, *_ in parsed}
     last_suffix: dict[str, int] = {}
     missing = cells[""]
-    keys = tuple(schema)
-    pool = _EventPool(keys)
+    share = _Memo().__getitem__
     traces = []
-    for case_id, events in parsed:
+    for case_id, activities, values in parsed:
         if case_id in last_suffix:
             suffix = last_suffix[case_id] + 1
             while f"{case_id}~{suffix}" in taken:
@@ -303,49 +333,14 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
             case_id = f"{case_id}~{suffix}"
         else:
             last_suffix[case_id] = 1
-        built = tuple(
-            pool[(activity, position, *[values.get(key, missing) for key in keys])]
-            for position, (activity, values) in enumerate(events)
-        )
-        traces.append(Trace(case_id=case_id, events=built))
-    return EventLog(schema=keys, traces=tuple(traces))
-
-
-def _xes_trace(
-    trace_el: ElementTree.Element,
-    case_id: str,
-    cells: _Cells,
-    schema: dict[str, str],
-    path: str | Path,
-) -> tuple[str, list[tuple[str, dict[str, str]]]]:
-    """One parsed ``<trace>`` as its case id and ``(activity, values)`` pairs.
-
-    Values are already canonical; new attribute keys join ``schema`` (a
-    dict used as an ordered set that also shares each key's string).
-    """
-    events: list[tuple[str, dict[str, str]]] = []
-    for child in trace_el:
-        tag = _strip_namespace(child.tag)
-        if tag == "string" and child.get("key") == "concept:name":
-            case_id = child.get("value", case_id)
-        if tag != "event":
-            continue
-        activity: str | None = None
-        values: dict[str, str] = {}
-        for attr_el in child:
-            if _strip_namespace(attr_el.tag) != "string":
-                continue
-            key, value = attr_el.get("key"), attr_el.get("value", "")
-            if key == "concept:name":
-                activity = value
-            elif key:
-                values[schema.setdefault(key, key)] = cells[value]
-        if activity is None:
-            raise MissingConceptName(
-                f"{path}: event without concept:name in trace {case_id!r}"
-            )
-        events.append((cells[activity], values))
-    return case_id, events
+        columns = {
+            key: share(tuple([event.get(key, missing) for event in values]))
+            for key in schema
+        }
+        traces.append(Trace.from_columns(
+            case_id, share(tuple(activities)), columns, share(tuple(range(len(values))))
+        ))
+    return EventLog(schema=schema, traces=tuple(traces))
 
 
 def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTable:
@@ -420,19 +415,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
     _require(isinstance(raw, dict), f"{path}: top level must be a mapping")
-    known = {
-        "k",
-        "quasi_identifiers",
-        "activity_hierarchies",
-        "attribute_hierarchies",
-        "vectorization",
-        "utility_notion",
-        "level_weights",
-        "drop_singletons",
-        "wildcard",
-        "csv",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(PipelineConfig)}
     _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
 
     k = raw.get("k")
@@ -495,12 +478,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     csv_raw = raw.get("csv", {})
     _require(isinstance(csv_raw, dict), f"{path}: csv must be a mapping")
-    csv_unknown = set(csv_raw) - {
-        "case_column",
-        "activity_column",
-        "attribute_columns",
-        "delimiter",
-    }
+    csv_unknown = set(csv_raw) - {f.name for f in fields(LogCsvSpec)}
     _require(not csv_unknown, f"{path}: unknown csv keys {sorted(csv_unknown)}")
     for key in ("case_column", "activity_column"):
         _require(

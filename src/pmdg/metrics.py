@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import IoFailure, LinkageBroken, UnknownAttribute
 from .hierarchy import Hierarchy
@@ -73,16 +73,21 @@ def handover_graph(log: EventLog, attribute: str) -> HandoverGraph:
     nodes: set[str] = set()
     edges: Counter[tuple[str, str]] = Counter()
     for trace in log.traces:
-        real = [e for e in trace.events if not e.is_wildcard]
-        for event in real:
-            nodes.add(event.attributes[attribute])
-        for first, second in zip(real, real[1:]):
-            edges[(first.attributes[attribute], second.attributes[attribute])] += 1
+        real = _at(trace.columns[attribute], trace.real)
+        nodes.update(real)
+        edges.update(zip(real, real[1:]))
     return HandoverGraph(
         attribute=attribute,
         nodes=tuple(sorted(nodes)),
         edges=dict(sorted(edges.items())),
     )
+
+
+def _at(column: Sequence[str], positions: Sequence[int]) -> Sequence[str]:
+    """The cells of ``column`` at ``positions``, in order."""
+    if len(positions) == len(column):
+        return column
+    return [column[p] for p in positions]
 
 
 def _endpoint(hierarchy: Hierarchy, original: str, generalized: str) -> float:
@@ -134,23 +139,14 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Iter
         image = images.get(trace.case_id)
         if image is None:
             raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
-        if len(image.events) == len(trace.events):
-            matched = [
-                (event, image.events[column])
-                for column, event in enumerate(trace.events)
-                if not event.is_wildcard
-            ]
-        else:
-            real = [e for e in trace.events if not e.is_wildcard]
-            shown = [e for e in image.events if not e.is_wildcard]
-            if len(real) != len(shown):
-                raise LinkageBroken(
-                    f"case {trace.case_id!r}: {len(real)} original events but "
-                    f"{len(shown)} non-padding events in the anonymized log"
-                )
-            matched = list(zip(real, shown))
-        before = [event.attributes[attribute] for event, _ in matched]
-        after = [image_event.attributes[attribute] for _, image_event in matched]
+        shown = trace.real if len(image) == len(trace) else image.real
+        if len(trace.real) != len(shown):
+            raise LinkageBroken(
+                f"case {trace.case_id!r}: {len(trace.real)} original events but "
+                f"{len(shown)} non-padding events in the anonymized log"
+            )
+        before = _at(trace.columns[attribute], trace.real)
+        after = _at(image.columns[attribute], shown)
         yield from zip(before, before[1:], after, after[1:])
 
 

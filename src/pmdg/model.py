@@ -17,22 +17,28 @@ cell ``⋆``) apart from padding; acceptance criterion 3 checks it after
 vectorization.  Quality metrics do not use it: they match an anonymized
 event with its original by column or by order.
 
+A :class:`Trace` holds its events as columns: the activity tuple, the
+origin tuple and one value tuple per attribute; its padding positions
+are decided once, on first use.  Every pass of the pipeline reads these
+columns.  ``Trace.events`` is a view for library callers, built on first
+use, so reading, generalizing and writing a log builds no ``Event``.
+
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare
-equal when they should.  Because nothing can change an event, one
-``Event`` object may stand in several traces, and in several logs: the
-readers and :func:`~pmdg.hierarchy.apply_to_log` build each distinct
-event once (through one ``_EventPool`` per call) and share it.  Identity
-therefore means nothing; events compare by content.
+equal when they should; :meth:`Trace.from_columns` takes its cells as
+given, and the readers and hierarchy tables hand over NFC strings.
+Traces and events compare by content.
 """
 
 from __future__ import annotations
 
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 WILDCARD = "⋆"  # ⋆
 MISSING = "⊥"  # ⊥
@@ -82,55 +88,124 @@ class Event:
         )
 
 
-class _EventPool(dict):
-    """``(activity, origin_index, *values)`` -> the one ``Event`` with that
-    content, built on first sight.
-
-    The values follow ``schema`` order; a key must never be read off
-    ``attributes.values()``, whose order is the event's own.  One instance
-    per call, so a pool lives and dies with the log it builds.
-    """
-
-    def __init__(self, schema: Sequence[str]) -> None:
-        super().__init__()
-        self.schema = tuple(schema)
-
-    def __missing__(self, key: tuple) -> Event:
-        activity, origin, *values = key
-        event = self[key] = Event(
-            activity, dict(zip(self.schema, values)), origin_index=origin
-        )
-        return event
-
-
 def wildcard_event(schema: Sequence[str]) -> Event:
     """Build the padding event for the given attribute schema."""
     return Event(WILDCARD, {name: WILDCARD for name in schema})
 
 
-@dataclass(frozen=True, eq=True)
+class _Memo(dict):
+    """``key -> make(key)``, made on first sight and kept.  One instance
+    per call; the default ``make`` keeps the key itself, so equal columns
+    (or cells) of the log being built are stored once."""
+
+    def __init__(self, make: Callable[[Any], Any] = lambda key: key) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+class _NoColumns(dict):
+    """The columns of an empty trace: every attribute reads as ``()``."""
+
+    def __missing__(self, attribute: str) -> tuple[str, ...]:
+        return ()
+
+
+_NO_COLUMNS = MappingProxyType(_NoColumns())
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Trace:
-    """A case: an ordered, immutable sequence of events."""
+    """A case: an ordered, immutable sequence of events, held as columns.
+
+    ``activities`` is the control flow, ``origins`` each event's
+    ``origin_index``, and ``columns`` maps every attribute to its value
+    sequence, one entry per event each.  ``real`` (the positions that are
+    not padding) and ``events`` (a view as :class:`Event` objects) are
+    derived on first use and kept.  ``Trace(case_id, events)`` builds the
+    columns from events; :meth:`from_columns` takes them as they are.
+    """
 
     case_id: str
-    events: tuple[Event, ...] = ()
+    activities: tuple[str, ...]
+    origins: tuple[int | None, ...]
+    columns: Mapping[str, tuple[str, ...]]
+    _real: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    _events: tuple[Event, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "case_id", _nfc(self.case_id))
-        object.__setattr__(self, "events", tuple(self.events))
-        previous = -1
-        for event in self.events:
-            if event.origin_index is None:
-                continue
-            if event.origin_index <= previous:
-                raise ValueError(
-                    f"origin_index values must be strictly increasing in trace "
-                    f"{self.case_id!r}"
+    def __init__(self, case_id: str, events: Iterable[Event] = ()) -> None:
+        events = tuple(events)
+        keys = events[0].attributes.keys() if events else {}
+        if any(event.attributes.keys() != keys for event in events):
+            raise ValueError(f"events of trace {case_id!r} carry different attributes")
+        self._fill(
+            case_id,
+            tuple(event.activity for event in events),
+            {key: tuple(event.attributes[key] for event in events) for key in keys},
+            tuple(event.origin_index for event in events),
+        )
+        object.__setattr__(self, "_events", events)
+
+    @classmethod
+    def from_columns(cls, case_id: str, activities: Sequence[str],
+                     columns: Mapping[str, Sequence[str]],
+                     origins: Sequence[int | None] | None = None) -> "Trace":
+        """The trace with these columns (``origins`` default to none).
+        Attribute names and cells must be NFC already, as the readers and
+        hierarchy tables hand them over; the case id is normalized."""
+        trace = cls.__new__(cls)
+        trace._fill(
+            case_id,
+            tuple(activities),
+            {key: tuple(column) for key, column in columns.items()},
+            (None,) * len(activities) if origins is None else tuple(origins),
+        )
+        return trace
+
+    def _fill(self, case_id: str, activities: tuple, columns: dict, origins: tuple) -> None:
+        width = len(activities)
+        if len(origins) != width or set(map(len, columns.values())) - {width}:
+            raise ValueError(f"columns of trace {case_id!r} differ in length")
+        known = [o for o in origins if o is not None] if None in origins else origins
+        if known and (known[0] < 0 or not all(map(operator.lt, known, known[1:]))):
+            raise ValueError(
+                f"origin_index values must be non-negative and strictly increasing "
+                f"in trace {case_id!r}"
+            )
+        columns = MappingProxyType(columns) if width else _NO_COLUMNS
+        for name, value in zip(self.__slots__, (
+            _nfc(case_id), activities, origins, columns, None, None
+        )):
+            object.__setattr__(self, name, value)
+
+    @property
+    def real(self) -> Sequence[int]:
+        if self._real is None:
+            real: Sequence[int] = range(len(self.activities))
+            if WILDCARD in self.activities:  # padding: all cells ``⋆``, no origin
+                padding = (WILDCARD, None, *[WILDCARD] * len(self.columns))
+                rows = zip(self.activities, self.origins, *self.columns.values())
+                real = tuple(compress(real, map(padding.__ne__, rows)))
+            object.__setattr__(self, "_real", real)
+        return self._real
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        if self._events is None:
+            keys = tuple(self.columns)
+            object.__setattr__(self, "_events", tuple(
+                Event(activity, dict(zip(keys, values)), origin_index=origin)
+                for activity, origin, *values in zip(
+                    self.activities, self.origins, *self.columns.values()
                 )
-            previous = event.origin_index
+            ))
+        return self._events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.activities)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -140,9 +215,8 @@ class Trace:
 class EventLog:
     """An immutable event log with a fixed attribute schema.
 
-    Every event of every trace carries exactly the schema's attribute
-    keys; case identifiers are unique within the log.  The key check runs
-    once per distinct event object, since a shared event cannot change.
+    Every non-empty trace carries exactly the schema's attribute columns;
+    case identifiers are unique within the log.
     """
 
     schema: tuple[str, ...]
@@ -155,20 +229,15 @@ class EventLog:
             raise ValueError("schema attribute names must be unique")
         expected = set(self.schema)
         seen_cases: set[str] = set()
-        checked: set[int] = set()  # ids of events held by this log
         for trace in self.traces:
             if trace.case_id in seen_cases:
                 raise ValueError(f"duplicate case id {trace.case_id!r}")
             seen_cases.add(trace.case_id)
-            for event in trace.events:
-                if id(event) in checked:
-                    continue
-                if event.attributes.keys() != expected:
-                    raise ValueError(
-                        f"event in trace {trace.case_id!r} does not match the "
-                        f"log schema {self.schema!r}"
-                    )
-                checked.add(id(event))
+            if trace.activities and trace.columns.keys() != expected:
+                raise ValueError(
+                    f"event in trace {trace.case_id!r} does not match the "
+                    f"log schema {self.schema!r}"
+                )
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -206,24 +275,19 @@ class KAnonymityReport:
 
 def control_flow(trace: Trace) -> tuple[str, ...]:
     """The trace's activity sequence, wildcard symbols included."""
-    return tuple(event.activity for event in trace.events)
+    return trace.activities
 
 
 def variants(log: EventLog) -> Counter[tuple[str, ...]]:
     """Multiplicity of each distinct control-flow sequence, keyed by the
     sequence, in order of first occurrence."""
-    return Counter(control_flow(trace) for trace in log.traces)
+    return Counter(trace.activities for trace in log.traces)
 
 
 def trace_signature(trace: Trace, selected: Sequence[str]) -> tuple:
     """The identity of a trace under the chosen perspectives: its control
     flow plus, for each selected attribute, the per-event value sequence."""
-    flow = control_flow(trace)
-    columns = tuple(
-        (attr, tuple(event.attributes[attr] for event in trace.events))
-        for attr in selected
-    )
-    return (flow, columns)
+    return (trace.activities, tuple([(attr, trace.columns[attr]) for attr in selected]))
 
 
 def _ordered_selection(log: EventLog, selected: Iterable[str]) -> tuple[str, ...]:
@@ -256,16 +320,10 @@ def validate_k(log: EventLog, selected: Iterable[str], k: int) -> KAnonymityRepo
     """Check whether every equivalence class has at least ``k`` members."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    classes = partition(log, selected)
-    violations = tuple(
-        (cls.signature, cls.size) for cls in classes if cls.size < k
-    )
-    return KAnonymityReport(
-        k=k,
-        ok=not violations,
-        class_sizes=tuple(cls.size for cls in classes),
-        violations=violations,
-    )
+    chosen = _ordered_selection(log, selected)
+    sizes = Counter(trace_signature(trace, chosen) for trace in log.traces)
+    violations = tuple((signature, size) for signature, size in sizes.items() if size < k)
+    return KAnonymityReport(k, not violations, tuple(sizes.values()), violations)
 
 
 def drop_singleton_variants(log: EventLog) -> EventLog:
@@ -277,5 +335,5 @@ def drop_singleton_variants(log: EventLog) -> EventLog:
     empty log if all variants are unique.
     """
     counts = variants(log)
-    kept = tuple(t for t in log.traces if counts[control_flow(t)] > 1)
+    kept = tuple(t for t in log.traces if counts[t.activities] > 1)
     return EventLog(schema=log.schema, traces=kept)

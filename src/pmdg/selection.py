@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import UnknownAttribute
 from .hierarchy import Hierarchy, validate_table
-from .model import WILDCARD, EventLog, control_flow
+from .model import WILDCARD, EventLog
 
 UTILITY_NOTIONS = ("class_count", "size_balance")
 SYNTACTIC_SCHEMES = ("token_suffix_drop", "token_prefix_drop", "char_suffix_mask")
@@ -49,15 +49,12 @@ class UtilityProfile:
 
 def _value_sequences(log: EventLog, hierarchy: Hierarchy) -> list[tuple[str, ...]]:
     if hierarchy.attribute is None:
-        return [control_flow(trace) for trace in log.traces]
+        return [trace.activities for trace in log.traces]
     if hierarchy.attribute not in log.schema:
         raise UnknownAttribute(
             f"log has no attribute {hierarchy.attribute!r} to score against"
         )
-    return [
-        tuple(event.attributes[hierarchy.attribute] for event in trace.events)
-        for trace in log.traces
-    ]
+    return [trace.columns[hierarchy.attribute] for trace in log.traces]
 
 
 def level_utility(

@@ -49,10 +49,11 @@ origin-indexed events reproduces the input trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import EmptyLog
-from .model import WILDCARD, Event, EventLog, Trace, control_flow, wildcard_event
+from .model import WILDCARD, EventLog, Trace, _Memo, variants
 
 # Traceback move codes.
 _DIAG, _UP, _LEFT = 0, 1, 2
@@ -113,27 +114,35 @@ def align_pair(a: Sequence[str], b: Sequence[str]) -> AlignmentColumnMap:
     )
 
 
-def _assign_origin(event: Event, position: int) -> Event:
-    if event.origin_index is not None:
-        return event
-    return Event(event.activity, dict(event.attributes), origin_index=position)
+def _gather(slots: Sequence[int], width: int) -> Callable[[tuple], tuple]:
+    """The function spreading a column, with one extra cell for padding
+    appended, over ``width`` columns: cell *p* goes to column ``slots[p]``."""
+    gather = [len(slots)] * width
+    for position, slot in enumerate(slots):
+        gather[slot] = position
+    pick = itemgetter(0, 0, *gather)  # two or more indices: always a tuple
+    return lambda column: pick(column)[2:]
 
 
-def _place(
-    log: EventLog, width: int, slots_of: Callable[[Trace], Sequence[int]]
-) -> EventLog:
-    """Put each trace's events into its columns ``slots_of(trace)`` and
-    fill the other columns of the ``width`` with wildcard padding."""
-    padding = wildcard_event(log.schema)
+def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) -> EventLog:
+    """Spread each trace's columns by ``gather_of(trace)`` (see
+    :func:`_gather`), filling the other columns with wildcard padding.
+    A real event without an origin gets its position in the input trace."""
+    share = _Memo().__getitem__
+    # (spread, column, filler) -> the output column, once per distinct key
+    placed = _Memo(lambda key: share(key[0]((*key[1], key[2]))))
     traces = []
     for trace in log.traces:
-        events = [padding] * width
-        slots = slots_of(trace)
-        for position, event in enumerate(trace.events):
-            events[slots[position]] = (
-                event if event.is_wildcard else _assign_origin(event, position)
-            )
-        traces.append(Trace(case_id=trace.case_id, events=tuple(events)))
+        spread, origins = gather_of(trace), trace.origins
+        if None in origins:
+            real = set(trace.real)
+            origins = tuple(p if o is None and p in real else o for p, o in enumerate(origins))
+        traces.append(Trace.from_columns(
+            trace.case_id,
+            placed[spread, trace.activities, WILDCARD],
+            {attr: placed[spread, trace.columns[attr], WILDCARD] for attr in log.schema},
+            placed[spread, origins, None],
+        ))
     return EventLog(schema=log.schema, traces=tuple(traces))
 
 
@@ -142,7 +151,8 @@ def vectorize_naive(log: EventLog) -> EventLog:
     if not log.traces:
         raise EmptyLog("cannot vectorize an empty log")
     width = max(len(trace) for trace in log.traces)
-    return _place(log, width, lambda trace: range(len(trace)))
+    gathers = {n: _gather(range(n), width) for n in set(map(len, log.traces))}
+    return _place(log, width, lambda trace: gathers[len(trace)])
 
 
 def _align_to_profile(
@@ -243,10 +253,7 @@ def vectorize_msa(log: EventLog) -> EventLog:
     if not log.traces:
         raise EmptyLog("cannot vectorize an empty log")
 
-    counts: dict[tuple[str, ...], int] = {}
-    for trace in log.traces:
-        flow = control_flow(trace)
-        counts[flow] = counts.get(flow, 0) + 1
+    counts = variants(log)
     order = sorted(counts, key=lambda flow: (-counts[flow], flow))
 
     totals = [0] * len(order)
@@ -264,8 +271,8 @@ def vectorize_msa(log: EventLog) -> EventLog:
             profile = _align_to_profile(profile, rank, flow)
 
     positions = _member_positions(profile, len(order))
-    columns = {flow: positions[rank] for rank, flow in enumerate(order)}
-    return _place(log, len(profile), lambda trace: columns[control_flow(trace)])
+    gathers = {flow: _gather(positions[rank], len(profile)) for rank, flow in enumerate(order)}
+    return _place(log, len(profile), lambda trace: gathers[trace.activities])
 
 
 STRATEGIES: dict[str, Callable[[EventLog], EventLog]] = {

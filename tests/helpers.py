@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import itertools
 import random
+import unicodedata
 from collections import Counter
+from xml.etree import ElementTree
 
 from pmdg import (
+    MISSING,
     WILDCARD,
+    EmptyLog,
     Event,
     EventLog,
     Hierarchy,
+    IoFailure,
     LevelVector,
+    MalformedXml,
+    MissingConceptName,
     Trace,
 )
 
@@ -277,3 +284,98 @@ def oracle_best_pairwise(a, b):
 
     matches, negative_columns = go(0, 0)
     return matches, -negative_columns
+
+
+def _nfc(text):
+    return unicodedata.normalize("NFC", text)
+
+
+def _local_name(tag):
+    return tag.rsplit("}", 1)[-1]
+
+
+def oracle_read_log_xes(path, wildcard=WILDCARD):
+    """``read_log_xes`` as an ``ElementTree.iterparse`` reader that builds
+    every event with ``Event``, an independent oracle for the ``pyexpat``
+    reader.  Attribute keys join the schema in NFC form, so the two
+    spellings of a key are one key."""
+
+    def canonical(cell):
+        cell = WILDCARD if cell == wildcard else (cell or MISSING)
+        return _nfc(cell)
+
+    schema = {}
+    parsed = []
+    try:
+        with open(path, "rb") as handle:
+            steps = ElementTree.iterparse(handle, ("start", "end"))
+            _, root = next(steps)
+            depth = position = 0
+            for kind, element in steps:
+                if kind == "start":
+                    depth += 1
+                    continue
+                depth -= 1
+                if depth:
+                    continue
+                if _local_name(element.tag) == "trace":
+                    case_id, events = _oracle_trace(
+                        element, f"trace_{position}", canonical, schema, path
+                    )
+                    if events:
+                        parsed.append((_nfc(case_id), events))
+                position += 1
+                element.clear()
+                root.remove(element)
+    except ElementTree.ParseError as exc:
+        raise MalformedXml(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if not parsed:
+        raise EmptyLog(f"{path}: no events")
+
+    taken = {case_id for case_id, _ in parsed}
+    last_suffix = {}
+    keys = tuple(schema)
+    traces = []
+    for case_id, events in parsed:
+        if case_id in last_suffix:
+            suffix = last_suffix[case_id] + 1
+            while f"{case_id}~{suffix}" in taken:
+                suffix += 1
+            last_suffix[case_id] = suffix
+            case_id = f"{case_id}~{suffix}"
+        else:
+            last_suffix[case_id] = 1
+        traces.append(Trace(case_id, tuple(
+            Event(activity, {key: values.get(key, MISSING) for key in keys},
+                  origin_index=position)
+            for position, (activity, values) in enumerate(events)
+        )))
+    return EventLog(schema=keys, traces=tuple(traces))
+
+
+def _oracle_trace(trace_el, case_id, canonical, schema, path):
+    events = []
+    for child in trace_el:
+        tag = _local_name(child.tag)
+        if tag == "string" and child.get("key") == "concept:name":
+            case_id = child.get("value", case_id)
+        if tag != "event":
+            continue
+        activity = None
+        values = {}
+        for attr_el in child:
+            if _local_name(attr_el.tag) != "string":
+                continue
+            key, value = attr_el.get("key"), attr_el.get("value", "")
+            if key == "concept:name":
+                activity = value
+            elif key:
+                values[schema.setdefault(_nfc(key), _nfc(key))] = canonical(value)
+        if activity is None:
+            raise MissingConceptName(
+                f"{path}: event without concept:name in trace {case_id!r}"
+            )
+        events.append((canonical(activity), values))
+    return case_id, events

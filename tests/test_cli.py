@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pmdg import read_log_csv, validate_k, vectorize_msa
+from pmdg import Event, read_log_csv, validate_k, vectorize_msa
 from pmdg.cli import main, run_pipeline
 from pmdg.logio import load_config
 
@@ -261,6 +261,8 @@ MALFORMED_INPUTS = [
     ("k-true-config",
      ["anonymize", "--config", "{bool_k_config}", "--in", "{log}", "--out", "{out}"], 2),
     ("duplicate-header", ["metrics", "variants", "--in", "{dup_header_log}"], 3),
+    ("duplicate-header-unicode-forms",
+     ["metrics", "variants", "--in", "{nfc_dup_header_log}"], 3),
     ("duplicate-columns-flag",
      ["metrics", "variants", "--in", "{log}", "--columns", "role,role"], 2),
     ("duplicate-columns-config",
@@ -311,6 +313,9 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     (workdir / "dup_header_log.csv").write_text(
         "case,activity,role,role\n1,A,GP,GP\n", encoding="utf-8"
     )
+    (workdir / "nfc_dup_header_log.csv").write_text(
+        "case,activity,\u00e9,e\u0301\n1,A,GP,GP\n", encoding="utf-8"
+    )
     (workdir / "dup_columns_config.yaml").write_text(
         _config_text(workdir, extra="csv:\n  attribute_columns: [role, role]\n"),
         encoding="utf-8",
@@ -345,6 +350,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "bool_k_config": "bool_k_config.yaml",
             "inf_weight_config": "inf_weight_config.yaml",
             "dup_header_log": "dup_header_log.csv",
+            "nfc_dup_header_log": "nfc_dup_header_log.csv",
             "dup_columns_config": "dup_columns_config.yaml",
             "big_log": "big_log.csv",
             "big_hierarchy_config": "big_hierarchy_config.yaml",
@@ -360,28 +366,45 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     assert "Traceback" not in err
 
 
+# A nurse whose only event the activity level masks: ``Triage`` maps to
+# ``⋆`` at level 1, which k = 3 needs.
+MASKED_NURSE_CSV = (
+    "case,activity,role\n"
+    "07,Register,Admin\n07,Vitals,GP\n"
+    "08,Triage,Nurse\n"
+    "09,Register,Admin\n09,Vitals,GP\n"
+)
+
+
 @pytest.mark.parametrize(
-    "extra_rows, second_candidate, message",
+    "log, second_candidate, k, message",
     [
         # One candidate per perspective: phase 1 meets the activity first.
-        ("09,Register,Admin\n09,Triage,GP\n", None,
+        (CLINIC_CSV + "09,Register,Admin\n09,Triage,GP\n", None, "1",
          "'Triage' is not a leaf of the activity hierarchy"),
         # Two activity candidates: hierarchy selection meets it first.
-        ("09,Register,Admin\n09,Triage,GP\n", "activity",
+        (CLINIC_CSV + "09,Register,Admin\n09,Triage,GP\n", "activity", "1",
          "'Triage' is not a leaf of the activity hierarchy"),
-        # One candidate: the phase-2 precompute meets the value first.
-        ("09,Register,Admin\n09,Consultation,Nurse\n", None,
+        # One candidate: search looks up every role before phase 2.
+        (CLINIC_CSV + "09,Register,Admin\n09,Consultation,Nurse\n", None, "1",
          "'Nurse' is not a leaf of the role hierarchy"),
         # Two role candidates: hierarchy selection meets it first.
-        ("09,Register,Admin\n09,Consultation,Nurse\n", "role",
+        (CLINIC_CSV + "09,Register,Admin\n09,Consultation,Nurse\n", "role", "1",
          "'Nurse' is not a leaf of the role hierarchy"),
+        # The unknown role stands where the activity is masked: the same
+        # error whatever k is.
+        (MASKED_NURSE_CSV, None, "1", "'Nurse' is not a leaf of the role hierarchy"),
+        (MASKED_NURSE_CSV, None, "3", "'Nurse' is not a leaf of the role hierarchy"),
     ],
-    ids=["activity-phase1", "activity-selection", "role-phase2", "role-selection"],
+    ids=["activity-phase1", "activity-selection", "role-phase2", "role-selection",
+         "role-masked-k1", "role-masked-k3"],
 )
 def test_unknown_value_exits_3_with_one_message(
-    workdir, capsys, extra_rows, second_candidate, message
+    workdir, capsys, log, second_candidate, k, message
 ):
-    (workdir / "log.csv").write_text(CLINIC_CSV + extra_rows, encoding="utf-8")
+    (workdir / "log.csv").write_text(log, encoding="utf-8")
+    if log == MASKED_NURSE_CSV:
+        (workdir / "act.csv").write_text(ACTIVITY_H + "Triage,⋆,⋆\n", encoding="utf-8")
     (workdir / "act2.csv").write_text(
         "".join(f"{line.split(',')[0]},⋆\n" for line in ACTIVITY_H.splitlines()),
         encoding="utf-8",
@@ -395,10 +418,52 @@ def test_unknown_value_exits_3_with_one_message(
     elif second_candidate == "role":
         config = config.replace("role.csv]", f"role.csv, {workdir / 'role2.csv'}]")
     (workdir / "config.yaml").write_text(config, encoding="utf-8")
-    # k = 1 keeps every level at 0, so no value is masked before it is met.
     code = main([
         "anonymize", "--config", str(workdir / "config.yaml"),
-        "--in", str(workdir / "log.csv"), "--out", str(workdir / "o.csv"), "--k", "1",
+        "--in", str(workdir / "log.csv"), "--out", str(workdir / "o.csv"), "--k", k,
     ])
     assert code == 3
     assert capsys.readouterr().err == f"pmdg: data error: {message}\n"
+
+
+CLINIC_XES = (
+    '<log xmlns="http://www.xes-standard.org/">'
+    + "".join(
+        f'<trace><string key="concept:name" value="{case}"/>'
+        + "".join(
+            f'<event><string key="concept:name" value="{activity}"/>'
+            f'<string key="role" value="{role}"/></event>'
+            for activity, role in events
+        )
+        + "</trace>"
+        for case, events in (
+            ("07", [("Register", "Admin"), ("Vitals", "GP"),
+                    ("Consultation", "GP"), ("CT Scan", "CA")]),
+            ("08", [("Register", "Admin"), ("Consultation", "CA"), ("MRI Scan", "CA")]),
+        )
+    )
+    + "</log>"
+)
+
+
+def test_run_pipeline_builds_no_event(workdir, monkeypatch):
+    built = []
+    post_init = Event.__post_init__
+
+    def counted(event):
+        built.append(event)
+        post_init(event)
+
+    monkeypatch.setattr(Event, "__post_init__", counted)
+    (workdir / "log.xes").write_text(CLINIC_XES, encoding="utf-8")
+    config = load_config(workdir / "config.yaml")
+    outputs = []
+    for name in ("log.csv", "log.xes"):
+        out = workdir / f"out-{name}.csv"
+        manifest = run_pipeline(config, str(workdir / name), str(out))
+        outputs.append(out.read_bytes())
+        assert manifest.min_class_size == 2
+    assert built == []
+    assert outputs[0] == outputs[1]
+    Event("A")  # the count sees a construction
+    assert len(built) == 1

@@ -364,20 +364,18 @@ def _xes_of(log):
     return "".join(parts)
 
 
-def _one_object_per_distinct_event(log):
-    events = [e for t in log.traces for e in t.events]
-    contents = {
-        (e.activity, e.origin_index, *(e.attributes[a] for a in log.schema))
-        for e in events
-    }
-    return len({id(e) for e in events}) == len(contents)
+def _one_object_per_distinct_column(log):
+    columns = [
+        column for t in log.traces for column in (t.activities, t.origins, *t.columns.values())
+    ]
+    return len({id(column) for column in columns}) == len(set(columns))
 
 
-def test_readers_and_apply_to_log_share_one_event_per_distinct_event(tmp_path):
+def test_readers_and_apply_to_log_share_one_tuple_per_distinct_column(tmp_path):
     rng = random.Random(5)
     for i in range(10):
         raw, activity, attributes = random_instance(rng)
-        # Every case twice, so the files repeat events.
+        # Every case twice, so the files repeat columns.
         raw = EventLog(raw.schema, raw.traces + tuple(
             Trace(f"{t.case_id}b", t.events) for t in raw.traces
         ))
@@ -389,8 +387,6 @@ def test_readers_and_apply_to_log_share_one_event_per_distinct_event(tmp_path):
             rng.randint(0, activity.depth),
             {attr: rng.randint(0, h.depth) for attr, h in attributes.items()},
         )
-        for log in (from_csv, from_xes):
-            assert len({id(e) for t in log.traces for e in t.events}) < sum(map(len, log))
-            assert _one_object_per_distinct_event(log)
-            image = apply_to_log(log, levels, activity, attributes)
-            assert _one_object_per_distinct_event(image)
+        for log in (from_csv, from_xes, vectorize_msa(from_xes)):
+            assert _one_object_per_distinct_column(log)
+            assert _one_object_per_distinct_column(apply_to_log(log, levels, activity, attributes))

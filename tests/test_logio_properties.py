@@ -1,12 +1,14 @@
 """Property tests of log I/O: CSV and XES files written from one
 generated log both read back as the log built directly with ``Event``,
-and ``write_log_csv`` followed by ``read_log_csv`` gives the log back."""
+``write_log_csv`` followed by ``read_log_csv`` gives the log back, and
+on generated XES bytes ``read_log_xes`` agrees with the ``ElementTree``
+oracle while ``pmdg validate`` exits with a documented code."""
 
 import csv
 import io
 from xml.sax.saxutils import quoteattr
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pmdg import (
@@ -15,12 +17,17 @@ from pmdg import (
     Event,
     EventLog,
     LogCsvSpec,
+    MalformedXml,
+    MissingConceptName,
     Trace,
     read_log_csv,
     read_log_xes,
     wildcard_event,
     write_log_csv,
 )
+from pmdg.cli import main
+
+from helpers import oracle_read_log_xes
 
 # Decomposed and composed forms, a combining mark with no precomposed
 # form, quotes, both delimiters, XML specials, a line break, both
@@ -174,3 +181,136 @@ def test_csv_round_trip(tmp_path, written, delimiter):
     path = tmp_path / "log.csv"
     write_log_csv(log, path, spec, wildcard=wildcard)
     assert read_log_csv(path, spec, wildcard=wildcard) == _read_back(log)
+
+
+# Attribute text as it stands in the file: entity and character
+# references (``&#233;`` is a composed é, ``e&#x301;`` a decomposed one),
+# both wildcard literals and the missing-value literal.
+XML_PIECES = ["a", "B", "&amp;", "&lt;&gt;", "&quot;", "&#233;", "e&#x301;",
+              "\u00e9", "&#10;", " ", WILDCARD, "*", MISSING]
+XML_TEXT = st.lists(st.sampled_from(XML_PIECES), max_size=3).map("".join)
+XML_KEYS = ["role", "role", "org:unit", "&#233;", "e&#x301;", "concept:name"]
+
+
+def _rarely(draw):
+    return draw(st.sampled_from([False] * 5 + [True]))
+
+
+def _attrs(draw, key=st.sampled_from(XML_KEYS)):
+    """``key``/``value`` attributes, either of them sometimes missing."""
+    parts = []
+    if not _rarely(draw):
+        parts.append(f'key="{draw(key)}"')
+    if not _rarely(draw):
+        parts.append(f'value="{draw(XML_TEXT)}"')
+    return " ".join(draw(st.permutations(parts)))
+
+
+@st.composite
+def xes_bytes(draw):
+    """An XES file: headers, log-level strings, traces with nested traces,
+    non-string and nameless attributes, and events without a name, under
+    a default or an ``xes:`` namespace, sometimes cut at a random byte."""
+    ns = draw(st.sampled_from(["", "", "xes:", "xes:", "undeclared:"]))
+    xmlns = ' xmlns="http://www.xes-standard.org/"' if ns != "xes:" else (
+        ' xmlns:xes="http://www.xes-standard.org/"'
+    )
+
+    def string(key=st.sampled_from(XML_KEYS)):
+        return f"<{ns}string {_attrs(draw, key)}/>"
+
+    def other():
+        return draw(st.sampled_from([
+            f'<{ns}date key="time:timestamp" value="2024-01-01T00:00:00"/>',
+            f'<{ns}int key="role" value="3"/>',
+            f'<{ns}list key="l">{string()}</{ns}list>',
+        ]))
+
+    def event():
+        children = draw(st.lists(st.sampled_from(["name", "string", "other"]), max_size=4))
+        if not _rarely(draw):
+            children.insert(0, "name")
+        body = "".join(
+            f'<{ns}string key="concept:name" value="{draw(XML_TEXT)}"/>' if c == "name"
+            else string() if c == "string" else other()
+            for c in children
+        )
+        return f"<{ns}event>{body}</{ns}event>"
+
+    def trace(nested):
+        kinds = ["event", "event", "event", "name", "other"] + (["trace"] if nested else [])
+        children = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
+        body = "".join(
+            event() if c == "event" else trace(False) if c == "trace"
+            else other() if c == "other"
+            else string(st.sampled_from(["concept:name", "concept:name", "role"]))
+            for c in children
+        )
+        return f"<{ns}trace>{body}</{ns}trace>"
+
+    headers = [
+        f'<{ns}extension name="Concept" prefix="concept" uri="concept.xesext"/>',
+        f'<{ns}global scope="event">'
+        f'<{ns}string key="concept:name" value="__INVALID__"/></{ns}global>',
+        f'<{ns}classifier name="Activity" keys="concept:name"/>',
+    ]
+    children = draw(st.lists(
+        st.sampled_from(["trace", "trace", "header", "string"]), min_size=1, max_size=5
+    ))
+    body = "".join(
+        trace(True) if c == "trace" else string() if c == "string"
+        else draw(st.sampled_from(headers))
+        for c in children
+    )
+    text = f'<?xml version="1.0" encoding="UTF-8"?>\n<{ns}log{xmlns}>{body}</{ns}log>\n'
+    data = text.encode("utf-8")
+    if _rarely(draw):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the exception class is the outcome
+        return type(exc)
+
+
+NAMELESS_THEN_CUT = (
+    b'<log><trace><event><string key="role" value="x"/></event>'
+    b'<event><string key="concept:name" value="a"/></event></trace><trace><eve'
+)
+CUT_INSIDE_NAMELESS = b'<log><trace><event><string key="role" value="x"/></event><eve'
+TWO_FORMS_OF_A_KEY = (
+    b'<log><trace><event><string key="concept:name" value="a"/>'
+    b'<string key="&#233;" value="1"/></event><event>'
+    b'<string key="concept:name" value="a"/><string key="e&#x301;" value="2"/>'
+    b"</event></trace></log>"
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(xes_bytes(), st.sampled_from([1, 2]))
+@example(NAMELESS_THEN_CUT, 1)
+@example(CUT_INSIDE_NAMELESS, 1)
+@example(TWO_FORMS_OF_A_KEY, 1)
+def test_xes_reader_agrees_with_elementtree_oracle(tmp_path, capsys, data, k):
+    path = tmp_path / "log.xes"
+    path.write_bytes(data)
+    expected = _outcome(oracle_read_log_xes, path)
+    assert _outcome(read_log_xes, path) == expected
+    if data == NAMELESS_THEN_CUT:
+        assert expected is MissingConceptName
+    elif data == CUT_INSIDE_NAMELESS:
+        assert expected is MalformedXml
+
+    # The same bytes through the command line: a documented exit code,
+    # and on failure one ``pmdg:`` line and no traceback.
+    code = main(["validate", "--in", str(path), "--k", str(k), "--attr", "role"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert err.startswith("pmdg: ") and err.count("\n") == 1
+    else:
+        assert err == ""

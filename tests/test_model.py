@@ -148,7 +148,57 @@ def test_trace_rejects_non_increasing_origins():
     with pytest.raises(ValueError):
         Trace("t", (Event("A", origin_index=1), Event("B", origin_index=1)))
     with pytest.raises(ValueError):
+        Trace("t", (Event("A", origin_index=2), Event("B", origin_index=1)))
+    with pytest.raises(ValueError):
         Event("A", origin_index=-1)
+    with pytest.raises(ValueError):
+        Trace.from_columns("t", ("A", "B"), {}, (2, 1))
+    with pytest.raises(ValueError):
+        Trace.from_columns("t", ("A",), {}, (-1,))
+    with pytest.raises(ValueError):
+        Trace.from_columns("t", ("A", "B"), {"r": ("x",)})
+
+
+def test_trace_from_columns_equals_trace_from_events():
+    rng = random.Random(11)
+    log, _, _ = random_instance(rng)
+    for trace in log.traces:
+        columns = Trace.from_columns(
+            trace.case_id,
+            [event.activity for event in trace.events],
+            {attr: [event.attributes[attr] for event in trace.events] for attr in log.schema},
+            [event.origin_index for event in trace.events],
+        )
+        assert columns == trace
+        assert columns.events == trace.events
+    assert Trace.from_columns("x", (), {"r": ()}) == Trace("x", ())
+    assert Trace.from_columns("x", ("A",), {"r": ("y",)}) != Trace("x", (Event("A", {"r": "z"}),))
+
+
+def test_trace_events_view_keeps_padding_apart():
+    pad = wildcard_event(("r",))
+    masked = Event(WILDCARD, {"r": WILDCARD}, origin_index=1)
+    trace = Trace.from_columns(
+        "t", ("A", WILDCARD, WILDCARD, "B"), {"r": ("x", WILDCARD, WILDCARD, "y")},
+        (0, None, 1, 2),
+    )
+    assert trace.events == (
+        Event("A", {"r": "x"}, origin_index=0), pad, masked, Event("B", {"r": "y"}, origin_index=2)
+    )
+    assert [event.is_wildcard for event in trace.events] == [False, True, False, False]
+    assert tuple(trace.real) == (0, 2, 3)
+    assert trace.events is trace.events  # built once
+    assert Trace("t", trace.events) == trace
+    assert Trace("t", trace.events).real == trace.real
+
+
+def test_trace_columns_are_immutable():
+    trace = Trace.from_columns("t", ("A",), {"r": ["x"]})
+    assert trace.columns["r"] == ("x",)
+    with pytest.raises(TypeError):
+        trace.columns["r"] = ("y",)
+    with pytest.raises(AttributeError):
+        trace.activities = ("B",)
 
 
 def test_eventlog_validates_schema_and_cases():
@@ -157,6 +207,12 @@ def test_eventlog_validates_schema_and_cases():
         EventLog(schema=("r", "r"), traces=())
     with pytest.raises(ValueError):
         EventLog(schema=("r",), traces=(Trace("1", (Event("A", {"q": "x"}),)),))
+    with pytest.raises(ValueError):
+        EventLog(schema=("r",), traces=(Trace.from_columns("1", ("A",), {"q": ("x",)}),))
+    with pytest.raises(ValueError):
+        Trace("1", (Event("A", {"r": "x"}), Event("B", {"q": "x"})))
+    # An empty trace fits any schema.
+    assert EventLog(schema=("r",), traces=(Trace("1", ()),)).traces[0].columns["r"] == ()
     with pytest.raises(ValueError):
         EventLog(
             schema=("r",),
