@@ -55,7 +55,6 @@ from .logio import (
 from .metrics import (
     HandoverGraph,
     HandoverPair,
-    collect_handover_pairs,
     export_dot,
     handover_graph,
     handover_precision,
@@ -66,42 +65,26 @@ from .metrics import (
 from .model import (
     MISSING,
     WILDCARD,
-    EquivalenceClass,
     Event,
     EventLog,
     KAnonymityReport,
     Trace,
     control_flow,
     drop_singleton_variants,
-    partition,
     trace_signature,
     validate_k,
     variants,
-    wildcard_event,
 )
-from .selection import (
-    UtilityProfile,
-    level_utility,
-    score_hierarchy,
-    select,
-    syntactic_hierarchy,
-)
-from .vectorize import (
-    AlignmentColumnMap,
-    align_pair,
-    vectorize_msa,
-    vectorize_naive,
-)
+from .selection import UtilityProfile, select
+from .vectorize import vectorize_msa, vectorize_naive
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentColumnMap",
     "ConfigError",
     "DataError",
     "DuplicateLeaf",
     "EmptyLog",
-    "EquivalenceClass",
     "Event",
     "EventLog",
     "HandoverGraph",
@@ -132,35 +115,28 @@ __all__ = [
     "UnknownValue",
     "UtilityProfile",
     "WILDCARD",
-    "align_pair",
     "apply_to_log",
-    "collect_handover_pairs",
     "control_flow",
     "drop_singleton_variants",
     "export_dot",
     "handover_graph",
     "handover_precision",
     "handover_preservation",
-    "level_utility",
     "load_config",
-    "partition",
     "read_hierarchy",
     "read_log_csv",
     "read_log_xes",
     "remaining_variants",
     "render_dot",
     "satisfies",
-    "score_hierarchy",
     "search",
     "search_control_flow",
     "select",
-    "syntactic_hierarchy",
     "trace_signature",
     "validate_k",
     "validate_table",
     "variants",
     "vectorize_msa",
     "vectorize_naive",
-    "wildcard_event",
     "write_log_csv",
 ]

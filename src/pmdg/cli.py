@@ -352,6 +352,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     spec = _csv_spec_from_args(args)
     wildcard = args.wildcard_literal
+    if not wildcard:
+        raise ConfigError("--wildcard-literal must be a non-empty string")
 
     if args.command == "preprocess":
         log = _read_log(args.input, spec, wildcard)

@@ -11,9 +11,9 @@ row.
 Levels are global per perspective: level 0 is the raw data, level
 ``depth`` maps everything to ``⋆``.  The precision weight ``alpha(v)``
 counts how many leaves generalize to (or through) ``v``; it drives the
-handover-quality metrics.  Hot paths generalize by per-level lookup
-tables, a sequence per ``map``; ``generalize`` stays the checked public
-API and their oracle.
+handover-quality metrics.  Generalization is a lookup in one table per
+level: hot paths ``map`` a whole sequence through it, and ``generalize``
+looks up one value, checking the level.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def validate_table(rows: Iterable[Sequence[str]]) -> HierarchyTable:
 
 
 class _LevelTable(dict):
-    """One level of a hierarchy: each value ``generalize`` accepts -> its
-    image.  Any other key raises the ``UnknownValue`` ``generalize`` raises."""
+    """One level of a hierarchy: each leaf, ``⊥`` and ``⋆`` -> its image.
+    Any other key raises :class:`~pmdg.errors.UnknownValue`."""
 
     def __init__(self, name: str, images: Mapping[str, str]) -> None:
         super().__init__(images)
@@ -115,7 +115,7 @@ class Hierarchy:
     ``attribute`` names the log attribute the hierarchy applies to;
     ``None`` marks a hierarchy over activity labels (the control-flow
     perspective).  :meth:`lookup` gives one table per level, from each
-    value :meth:`generalize` accepts to its result.
+    leaf, ``⊥`` and ``⋆`` to its image at that level.
     """
 
     def __init__(self, table: HierarchyTable, attribute: str | None = None):
@@ -123,7 +123,6 @@ class Hierarchy:
         self.attribute = attribute
         self.depth = table.depth
         self.leaves = table.leaves
-        self._row_by_leaf = {row[0]: row for row in table.rows}
         # A ``⊥`` that is not a leaf stays ``⊥`` below the root; ``⋆`` is no leaf.
         self._lookup = tuple(
             _LevelTable(
@@ -151,28 +150,20 @@ class Hierarchy:
         return self.attribute if self.attribute is not None else "activity"
 
     def generalize(self, value: str, level: int) -> str:
-        """Map a leaf value to its level-``level`` generalization.
+        """Map a leaf value to its level-``level`` generalization, by a
+        checked lookup in that level's table.
 
         The wildcard stays a wildcard at any level.  The missing-value
         literal ``⊥`` is accepted even when no row defines it: gaps in
         the data carry no information to generalize away, so ``⊥`` stays
         itself below the root and becomes ``⋆`` only at the top level.
+        A level out of range raises ``ValueError``, any other value
+        :class:`~pmdg.errors.UnknownValue`.
         """
-        if not 0 <= level <= self.depth:
-            raise ValueError(
-                f"level {level} out of range 0..{self.depth} for {self.name}"
-            )
-        if value == WILDCARD:
-            return WILDCARD
-        row = self._row_by_leaf.get(value)
-        if row is not None:
-            return row[level]
-        if value == MISSING:
-            return MISSING if level < self.depth else WILDCARD
-        raise UnknownValue(f"{value!r} is not a leaf of the {self.name} hierarchy")
+        return self.lookup(level)[value]
 
     def lookup(self, level: int) -> Mapping[str, str]:
-        """The level's table: each value ``generalize`` accepts -> its image."""
+        """The level's table: each leaf, ``⊥`` and ``⋆`` -> its image."""
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} out of range 0..{self.depth} for {self.name}")
         return self._lookup[level]
@@ -221,15 +212,6 @@ class LevelVector:
     def cost(self) -> int:
         """Total generalization applied; the lattice search minimizes this."""
         return self.activity_level + sum(self.attribute_levels.values())
-
-    def covers(self, other: "LevelVector") -> bool:
-        """Component-wise >= comparison over the same attribute set."""
-        if set(self.attribute_levels) != set(other.attribute_levels):
-            raise ValueError("level vectors cover different attribute sets")
-        return self.activity_level >= other.activity_level and all(
-            self.attribute_levels[a] >= other.attribute_levels[a]
-            for a in self.attribute_levels
-        )
 
     def as_dict(self) -> dict:
         return {

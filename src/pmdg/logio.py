@@ -22,7 +22,8 @@ canonicalized and NFC-normalized once per read, and every trace holding
 that value shares one string; equal columns share one tuple.  Case ids
 are grouped and deduplicated on their NFC form, so the two Unicode
 spellings of a name are one case id, and so are attribute names.  A log
-file without events raises :class:`EmptyLog`.
+file without events raises :class:`EmptyLog`.  Both CSV readers skip a
+leading UTF-8 byte-order mark; the writer writes none.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def read_log_csv(
     cases: dict[str, list[tuple[str, ...]]] = {}  # NFC case id -> its rows
     rows_of = _Memo(lambda raw: cases.setdefault(_nfc(raw), []))
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=spec.delimiter)
             try:
                 header = next(reader)
@@ -351,7 +352,7 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
     file uses.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = [
                 tuple(WILDCARD if cell.strip() == wildcard else cell.strip() for cell in row)
                 for row in csv.reader(handle)
@@ -416,7 +417,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
     _require(isinstance(raw, dict), f"{path}: top level must be a mapping")
     unknown = set(raw) - {f.name for f in fields(PipelineConfig)}
-    _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
+    _require(not unknown, f"{path}: unknown keys {sorted(unknown, key=str)}")
 
     k = raw.get("k")
     _require(
@@ -444,7 +445,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     attr_raw = raw.get("attribute_hierarchies", {})
     _require(
-        isinstance(attr_raw, dict),
+        isinstance(attr_raw, dict) and all(isinstance(name, str) for name in attr_raw),
         f"{path}: attribute_hierarchies must map attribute names to file paths",
     )
     attr_hierarchies = {
@@ -479,7 +480,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     csv_raw = raw.get("csv", {})
     _require(isinstance(csv_raw, dict), f"{path}: csv must be a mapping")
     csv_unknown = set(csv_raw) - {f.name for f in fields(LogCsvSpec)}
-    _require(not csv_unknown, f"{path}: unknown csv keys {sorted(csv_unknown)}")
+    _require(not csv_unknown, f"{path}: unknown csv keys {sorted(csv_unknown, key=str)}")
     for key in ("case_column", "activity_column"):
         _require(
             isinstance(csv_raw.get(key, ""), str),

@@ -23,8 +23,8 @@ Two views of how much analysis value survives anonymization:
 
 Generalized events are matched to their originals by column, or by
 order among the non-padding events when the original is the narrower
-pre-vectorization log (see :func:`collect_handover_pairs`); a case or
-event count that cannot be matched raises :class:`LinkageBroken`.
+pre-vectorization log (see :func:`_handovers`); a case or event count
+that cannot be matched raises :class:`LinkageBroken`.
 """
 
 from __future__ import annotations
@@ -103,13 +103,9 @@ def handover_preservation(pair: HandoverPair, hierarchy: Hierarchy) -> float:
     ) / 2.0
 
 
-def collect_handover_pairs(
-    original: EventLog,
-    anonymized: EventLog,
-    attribute: str,
-) -> list[HandoverPair]:
+def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Iterator[tuple]:
     """Pair up every consecutive-event handover of the original log with
-    its image in the anonymized log.
+    its image in the anonymized log, as ``(o1, o2, g1, g2)`` tuples.
 
     Cases are matched by id and events by column.  When the original
     trace is as wide as its image (the vectorized log, or a trace that
@@ -124,12 +120,6 @@ def collect_handover_pairs(
     counts differ — e.g. a pre-vectorization log against a re-read file,
     where fully masked events came back as padding.
     """
-    pairs = _handovers(original, anonymized, attribute)
-    return [HandoverPair((o1, o2), (g1, g2)) for o1, o2, g1, g2 in pairs]
-
-
-def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Iterator[tuple]:
-    """``collect_handover_pairs`` as plain ``(o1, o2, g1, g2)`` tuples."""
     if attribute not in original.schema:
         raise UnknownAttribute(f"original log has no attribute {attribute!r}")
     if attribute not in anonymized.schema:
@@ -159,8 +149,8 @@ def handover_precision(
 ) -> float:
     """Average handover preservation over a log pair, as a percentage.
 
-    Pairs come from :func:`collect_handover_pairs`, so ``original`` may
-    be the pre-vectorization log or its vectorization.
+    Pairs come from :func:`_handovers`, so ``original`` may be the
+    pre-vectorization log or its vectorization.
     ``aggregate="occurrences"`` weighs every observed handover equally;
     ``aggregate="pairs"`` averages over distinct (original, generalized)
     value-pair combinations instead, so frequent handovers do not

@@ -88,11 +88,6 @@ class Event:
         )
 
 
-def wildcard_event(schema: Sequence[str]) -> Event:
-    """Build the padding event for the given attribute schema."""
-    return Event(WILDCARD, {name: WILDCARD for name in schema})
-
-
 class _Memo(dict):
     """``key -> make(key)``, made on first sight and kept.  One instance
     per call; the default ``make`` keeps the key itself, so equal columns
@@ -246,19 +241,6 @@ class EventLog:
         return iter(self.traces)
 
 
-@dataclass(frozen=True, eq=True)
-class EquivalenceClass:
-    """A maximal group of traces that are indistinguishable on the chosen
-    perspectives (control flow plus the selected attributes)."""
-
-    signature: tuple
-    members: tuple[Trace, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 @dataclass(frozen=True)
 class KAnonymityReport:
     """Result of a k-anonymity check: overall verdict plus the violating
@@ -296,24 +278,6 @@ def _ordered_selection(log: EventLog, selected: Iterable[str]) -> tuple[str, ...
     if unknown:
         raise ValueError(f"selected attributes not in schema: {sorted(unknown)}")
     return tuple(attr for attr in log.schema if attr in wanted)
-
-
-def partition(log: EventLog, selected: Iterable[str] = ()) -> tuple[EquivalenceClass, ...]:
-    """Partition the log into equivalence classes.
-
-    Traces fall into the same class iff they have the same control flow
-    and, for every selected attribute, the same value sequence.  Classes
-    are returned in order of their first member's appearance; class
-    members keep log order.
-    """
-    chosen = _ordered_selection(log, selected)
-    buckets: dict[tuple, list[Trace]] = {}
-    for trace in log.traces:
-        buckets.setdefault(trace_signature(trace, chosen), []).append(trace)
-    return tuple(
-        EquivalenceClass(signature, tuple(members))
-        for signature, members in buckets.items()
-    )
 
 
 def validate_k(log: EventLog, selected: Iterable[str], k: int) -> KAnonymityReport:

@@ -15,10 +15,6 @@ Per-level utilities are combined into a single score with a weight per
 level, and the candidate with the highest weighted total wins.  Ties go
 to the shallower hierarchy, then to input order.  Totals of candidates
 with different depths are compared as-is; choose weights accordingly.
-
-When no curated hierarchy exists, ``syntactic_hierarchy`` derives one
-mechanically from the observed values (dropping tokens or masking
-trailing characters level by level).
 """
 
 from __future__ import annotations
@@ -26,14 +22,13 @@ from __future__ import annotations
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import UnknownAttribute
-from .hierarchy import Hierarchy, validate_table
-from .model import WILDCARD, EventLog
+from .hierarchy import Hierarchy
+from .model import EventLog
 
 UTILITY_NOTIONS = ("class_count", "size_balance")
-SYNTACTIC_SCHEMES = ("token_suffix_drop", "token_prefix_drop", "char_suffix_mask")
 
 
 @dataclass(frozen=True)
@@ -57,23 +52,15 @@ def _value_sequences(log: EventLog, hierarchy: Hierarchy) -> list[tuple[str, ...
     return [trace.columns[hierarchy.attribute] for trace in log.traces]
 
 
-def level_utility(
-    log: EventLog, hierarchy: Hierarchy, level: int, notion: str = "class_count"
-) -> float:
-    """Utility retained when this perspective is generalized to ``level``.
-
-    Only the hierarchy's own perspective is considered: traces are
-    grouped by their generalized value sequence, and the group structure
-    is scored by the chosen notion.
-    """
-    return _utility(Counter(_value_sequences(log, hierarchy)), hierarchy, level, notion)
-
-
 def _utility(
     sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy, level: int, notion: str
 ) -> float:
-    """``level_utility`` from the distinct raw sequences and their counts:
-    each distinct sequence is generalized once, weighted by its count."""
+    """Utility retained when this perspective is generalized to ``level``.
+
+    Only the hierarchy's own perspective is considered: the distinct raw
+    value sequences are generalized once each, grouped by their image
+    with their counts, and the group structure is scored by ``notion``.
+    """
     groups: dict[tuple[str, ...], int] = {}
     for image, count in zip(hierarchy.images(sequences, level), sequences.values()):
         groups[image] = groups.get(image, 0) + count
@@ -84,25 +71,14 @@ def _utility(
     raise ValueError(f"unknown utility notion {notion!r}")
 
 
-def score_hierarchy(
-    log: EventLog,
-    hierarchy: Hierarchy,
-    weights: Sequence[float] = (1.0,),
-    notion: str = "class_count",
-    name: str | None = None,
-) -> UtilityProfile:
-    """Score one candidate over all its levels (1 through depth).
+def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
+             weights: Sequence[float], notion: str, name: str) -> UtilityProfile:
+    """Score one candidate over all its levels (1 through depth), from the
+    distinct raw sequences and their counts.
 
     ``weights`` gives a weight per level; a short list is extended with
     its last entry, so a single ``[1.0]`` weighs all levels equally.
     """
-    sequences = Counter(_value_sequences(log, hierarchy))
-    return _profile(sequences, hierarchy, weights, notion, name)
-
-
-def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
-             weights: Sequence[float], notion: str, name: str | None) -> UtilityProfile:
-    """``score_hierarchy`` from the distinct raw sequences and their counts."""
     if not weights:
         raise ValueError("weights must not be empty")
     padded = tuple(weights) + (weights[-1],) * max(0, hierarchy.depth - len(weights))
@@ -113,7 +89,7 @@ def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
     )
     total = sum(w * u for w, u in zip(padded, per_level))
     return UtilityProfile(
-        name=name if name is not None else hierarchy.name,
+        name=name,
         depth=hierarchy.depth,
         per_level=per_level,
         weights=padded,
@@ -146,59 +122,3 @@ def select(
         key=lambda i: (-profiles[i].total, candidates[i].depth, i),
     )
     return candidates[winner], profiles
-
-
-def _mask_tail(value: str, masked: int) -> str:
-    if masked >= len(value):
-        return "-" * len(value)
-    return value[: len(value) - masked] + "-" * masked
-
-
-def syntactic_hierarchy(
-    values: Iterable[str],
-    scheme: str,
-    *,
-    width: int = 1,
-    attribute: str | None = None,
-) -> Hierarchy:
-    """Derive a hierarchy mechanically from the observed values.
-
-    Schemes: ``token_suffix_drop`` and ``token_prefix_drop`` remove one
-    whitespace-separated token per level from the end or the start;
-    ``char_suffix_mask`` replaces ``width`` more trailing characters with
-    ``-`` per level.  A value exhausted early stays at the wildcard for
-    the remaining levels.  The final level is always ``⋆``.
-    """
-    if scheme not in SYNTACTIC_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SYNTACTIC_SCHEMES}")
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    distinct = sorted(set(values))
-    if not distinct:
-        raise ValueError("cannot derive a hierarchy from no values")
-    if WILDCARD in distinct:
-        raise ValueError(f"the wildcard {WILDCARD!r} cannot be a leaf value")
-
-    if scheme == "char_suffix_mask":
-        steps = max((len(v) + width - 1) // width for v in distinct)
-        rows = [
-            tuple([v] + [_mask_tail(v, j * width) for j in range(1, steps + 1)] + [WILDCARD])
-            for v in distinct
-        ]
-        return Hierarchy(validate_table(rows), attribute=attribute)
-
-    depth = max(len(v.split()) for v in distinct)
-    rows = []
-    for v in distinct:
-        tokens = v.split()
-        levels = [v]
-        for j in range(1, depth):
-            if j >= len(tokens):
-                levels.append(WILDCARD)
-            elif scheme == "token_suffix_drop":
-                levels.append(" ".join(tokens[: len(tokens) - j]))
-            else:
-                levels.append(" ".join(tokens[j:]))
-        levels.append(WILDCARD)
-        rows.append(tuple(levels))
-    return Hierarchy(validate_table(rows), attribute=attribute)

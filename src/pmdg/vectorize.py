@@ -48,7 +48,6 @@ origin-indexed events reproduces the input trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -57,16 +56,6 @@ from .model import WILDCARD, EventLog, Trace, _Memo, variants
 
 # Traceback move codes.
 _DIAG, _UP, _LEFT = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class AlignmentColumnMap:
-    """Where each input trace's events went: for input trace *i*,
-    ``positions[i]`` lists the output column of each of its events, in
-    order (strictly increasing)."""
-
-    positions: tuple[tuple[int, ...], ...]
-    aligned_length: int
 
 
 class _Column:
@@ -94,24 +83,6 @@ def _member_positions(profile: list[_Column], count: int) -> list[list[int]]:
         for member in column.members:
             positions[member].append(j)
     return positions
-
-
-def align_pair(a: Sequence[str], b: Sequence[str]) -> AlignmentColumnMap:
-    """Globally align two symbol sequences.
-
-    Maximizes matches, then minimizes the number of output columns
-    (equivalently: prefers pairing symbols in one column over two
-    gap columns, even when they differ).  Ties beyond that are broken by
-    a fixed move preference, so the result is deterministic.  This is
-    the progressive-alignment step of :func:`vectorize_msa` applied to
-    a profile holding ``b`` alone.
-    """
-    profile = _align_to_profile([_Column(0, symbol) for symbol in b], 1, tuple(a))
-    positions = _member_positions(profile, 2)
-    return AlignmentColumnMap(
-        positions=(tuple(positions[1]), tuple(positions[0])),
-        aligned_length=len(profile),
-    )
 
 
 def _gather(slots: Sequence[int], width: int) -> Callable[[tuple], tuple]:

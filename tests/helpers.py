@@ -26,6 +26,7 @@ from pmdg import (
     MalformedXml,
     MissingConceptName,
     Trace,
+    UnknownValue,
 )
 
 
@@ -191,6 +192,23 @@ def country_hierarchy() -> Hierarchy:
 # --- oracles ---------------------------------------------------------------
 
 
+def oracle_generalize(hierarchy: Hierarchy, value: str, level: int) -> str:
+    """``Hierarchy.generalize`` by a walk over the table's rows, independent
+    of the per-level lookup tables: column ``level`` of the value's row."""
+    if not 0 <= level <= hierarchy.depth:
+        raise ValueError(
+            f"level {level} out of range 0..{hierarchy.depth} for {hierarchy.name}"
+        )
+    if value == WILDCARD:
+        return WILDCARD
+    for row in hierarchy.table.rows:
+        if row[0] == value:
+            return row[level]
+    if value == MISSING:
+        return MISSING if level < hierarchy.depth else WILDCARD
+    raise UnknownValue(f"{value!r} is not a leaf of the {hierarchy.name} hierarchy")
+
+
 def oracle_class_sizes(log, levels: LevelVector, activity_h, attr_hs) -> list[int]:
     """Independent re-derivation of equivalence class sizes at a node.
 
@@ -206,7 +224,7 @@ def oracle_class_sizes(log, levels: LevelVector, activity_h, attr_hs) -> list[in
                 acts.append(WILDCARD)
             else:
                 acts.append(
-                    activity_h.generalize(event.activity, levels.activity_level)
+                    oracle_generalize(activity_h, event.activity, levels.activity_level)
                 )
         signature = [tuple(acts)]
         for attr in sorted(levels.attribute_levels):
@@ -216,7 +234,9 @@ def oracle_class_sizes(log, levels: LevelVector, activity_h, attr_hs) -> list[in
                 if act == WILDCARD:
                     column.append(WILDCARD)
                 else:
-                    column.append(attr_hs[attr].generalize(event.attributes[attr], level))
+                    column.append(
+                        oracle_generalize(attr_hs[attr], event.attributes[attr], level)
+                    )
             signature.append(tuple(column))
         groups[tuple(signature)] += 1
     return sorted(groups.values(), reverse=True)
@@ -262,7 +282,7 @@ def all_alignments(a, b):
 
 def oracle_best_pairwise(a, b):
     """Optimal (matches, columns) over all alignments: max matches, then
-    min columns.  Memoized suffix recursion, independent of align_pair."""
+    min columns.  Memoized suffix recursion, independent of the alignment DP."""
     from functools import lru_cache
 
     @lru_cache(maxsize=None)

@@ -274,6 +274,13 @@ MALFORMED_INPUTS = [
      3),
     ("unknown-quasi-identifier",
      ["anonymize", "--config", "{ghost_config}", "--in", "{log}", "--out", "{out}"], 3),
+    ("non-string-attribute-key-config",
+     ["anonymize", "--config", "{int_key_config}", "--in", "{log}", "--out", "{out}"], 2),
+    ("mixed-unknown-keys-config",
+     ["anonymize", "--config", "{mixed_keys_config}", "--in", "{log}", "--out", "{out}"],
+     2),
+    ("empty-wildcard-literal",
+     ["validate", "--in", "{log}", "--k", "1", "--wildcard-literal", ""], 2),
     ("empty-xes", ["validate", "--in", "{empty_xes}", "--k", "2"], 3),
     ("truncated-xes", ["validate", "--in", "{truncated_xes}", "--k", "2"], 3),
 ]
@@ -335,6 +342,12 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
         .replace("  role:", "  ghost:"),
         encoding="utf-8",
     )
+    (workdir / "int_key_config.yaml").write_text(
+        _config_text(workdir, extra=f"  1: [{workdir / 'role.csv'}]\n"), encoding="utf-8"
+    )
+    (workdir / "mixed_keys_config.yaml").write_text(
+        _config_text(workdir, extra="1: x\nsurprise: y\n"), encoding="utf-8"
+    )
     (workdir / "empty.xes").write_text(EMPTY_XES, encoding="utf-8")
     (workdir / "truncated.xes").write_text(TRUNCATED_XES, encoding="utf-8")
     paths = {
@@ -355,6 +368,8 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "big_log": "big_log.csv",
             "big_hierarchy_config": "big_hierarchy_config.yaml",
             "ghost_config": "ghost_config.yaml",
+            "int_key_config": "int_key_config.yaml",
+            "mixed_keys_config": "mixed_keys_config.yaml",
             "empty_xes": "empty.xes",
             "truncated_xes": "truncated.xes",
         }.items()
@@ -364,6 +379,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     assert code == expected
     assert err.startswith("pmdg: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (workdir / "out.csv").exists()  # a failed run writes no output
 
 
 # A nurse whose only event the activity level masks: ``Triage`` maps to

@@ -50,6 +50,17 @@ def test_read_log_csv_happy_path(tmp_path):
     assert [e.origin_index for e in log.traces[0]] == [0, 1]
 
 
+def test_read_log_csv_skips_byte_order_mark(tmp_path):
+    text = "case,activity,role\n1,Register,Admin\n1,Consultation,GP\n"
+    plain = write(tmp_path / "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_log_csv(marked) == read_log_csv(plain)
+    out = tmp_path / "out.csv"
+    write_log_csv(read_log_csv(marked), out)
+    assert out.read_bytes().startswith(b"case,")  # the writer adds no mark
+
+
 def test_read_log_csv_interleaved_cases_group_by_first_appearance(tmp_path):
     path = write(
         tmp_path / "log.csv",
@@ -262,6 +273,12 @@ def test_read_hierarchy(tmp_path):
     assert table.leaves == ("GP", "CA", "Admin")
 
 
+def test_read_hierarchy_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + "Admin,Admin,⋆\nGP,Staff,⋆\n".encode("utf-8"))
+    assert read_hierarchy(path).leaves == ("Admin", "GP")
+
+
 def test_read_hierarchy_custom_wildcard(tmp_path):
     path = write(tmp_path / "h.csv", "a,g,*\nb,g,*\n")
     table = read_hierarchy(path, wildcard="*")
@@ -326,6 +343,11 @@ csv:
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {case_column: [case]}\n",
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {activity_column: 7}\n",
         "- just\n- a\n- list\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\nattribute_hierarchies: {1: [r.csv]}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\nattribute_hierarchies: {null: [r.csv]}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\nattribute_hierarchies: {true: [r.csv]}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\n1: x\nsurprise: y\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {1: x, separator: y}\n",
     ],
 )
 def test_load_config_rejects_invalid(tmp_path, snippet):

@@ -22,7 +22,6 @@ from pmdg import (
     Trace,
     read_log_csv,
     read_log_xes,
-    wildcard_event,
     write_log_csv,
 )
 from pmdg.cli import main
@@ -136,7 +135,7 @@ def written_logs(draw):
     events fully masked, padding between events, and equal events shared
     by one object across traces."""
     wildcard, schema, cases = draw(raw_logs())
-    padding = wildcard_event(schema)
+    padding = Event(WILDCARD, dict.fromkeys(schema, WILDCARD))
     shared: dict[tuple, Event] = {}
     traces = []
     for trace in _expected(wildcard, schema, cases).traces:
@@ -156,7 +155,7 @@ def written_logs(draw):
 def _read_back(log):
     """The log as its CSV reads back: a fully masked event becomes padding
     (the documented exception), so origins count the other events."""
-    padding = wildcard_event(log.schema)
+    padding = Event(WILDCARD, dict.fromkeys(log.schema, WILDCARD))
     traces = []
     for trace in log.traces:
         events, origin = [], 0

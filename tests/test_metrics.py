@@ -15,7 +15,6 @@ from pmdg import (
     Trace,
     UnknownAttribute,
     apply_to_log,
-    collect_handover_pairs,
     export_dot,
     handover_graph,
     handover_precision,
@@ -26,6 +25,7 @@ from pmdg import (
     vectorize_msa,
     write_log_csv,
 )
+from pmdg.metrics import _handovers
 
 from helpers import (
     clinic_hierarchies,
@@ -172,11 +172,12 @@ def test_handover_precision_pair_aggregation():
     assert abs(by_pairs - 100.0 * (2 / 3 + 1) / 2) < 1e-9
 
 
-def test_collect_handover_pairs_linkage_errors(tmp_path):
+def test_handover_precision_linkage_errors(tmp_path):
     original = clinic_log()
+    _, role, _ = clinic_hierarchies()
     missing_case = EventLog(schema=("role",), traces=())
     with pytest.raises(LinkageBroken):
-        collect_handover_pairs(original, missing_case, "role")
+        handover_precision(original, missing_case, "role", role)
     # Case 08 is narrower than the aligned width, so its events are matched
     # by order; a re-read file turns its masked event into padding.
     masked = EventLog(
@@ -193,12 +194,12 @@ def test_collect_handover_pairs_linkage_errors(tmp_path):
     path = tmp_path / "masked.csv"
     write_log_csv(masked, path)
     with pytest.raises(LinkageBroken):
-        collect_handover_pairs(original, read_log_csv(path), "role")
+        handover_precision(original, read_log_csv(path), "role", role)
     with pytest.raises(UnknownAttribute):
-        collect_handover_pairs(original, original, "ghost")
+        handover_precision(original, original, "ghost", role)
 
 
-def test_collect_handover_pairs_agrees_on_all_input_forms(tmp_path):
+def test_handover_pairs_agree_on_all_input_forms(tmp_path):
     rng = random.Random(53)
     for _ in range(10):
         log, activity, attr_hs = random_instance(rng)
@@ -213,9 +214,9 @@ def test_collect_handover_pairs_agrees_on_all_input_forms(tmp_path):
         # against the in-memory result, and vectorized log against a CSV
         # re-read that lost the origins of fully masked events.
         forms = [
-            collect_handover_pairs(log, result.anonymized, attr),
-            collect_handover_pairs(vectorized, result.anonymized, attr),
-            collect_handover_pairs(vectorized, reread, attr),
+            list(_handovers(log, result.anonymized, attr)),
+            list(_handovers(vectorized, result.anonymized, attr)),
+            list(_handovers(vectorized, reread, attr)),
         ]
         assert forms[0] == forms[1] == forms[2]
 
@@ -223,7 +224,10 @@ def test_collect_handover_pairs_agrees_on_all_input_forms(tmp_path):
 def _oracle_precision(original, anonymized, attribute, hierarchy, aggregate):
     """``handover_precision`` as one ``handover_preservation`` per pair, summed
     in ``sorted`` order of the ``HandoverPair`` counts."""
-    counts = Counter(collect_handover_pairs(original, anonymized, attribute))
+    counts = Counter(
+        HandoverPair((o1, o2), (g1, g2))
+        for o1, o2, g1, g2 in _handovers(original, anonymized, attribute)
+    )
     if not counts:
         return 100.0
     total = weight = 0.0

@@ -8,17 +8,16 @@ from pmdg import (
     WILDCARD,
     Event,
     EventLog,
+    LevelVector,
     Trace,
     control_flow,
     drop_singleton_variants,
-    partition,
     trace_signature,
     validate_k,
     variants,
-    wildcard_event,
 )
 
-from helpers import clinic_log, random_instance
+from helpers import clinic_log, oracle_class_sizes, random_instance
 
 
 def test_control_flow_clinic_case():
@@ -43,10 +42,9 @@ def test_variants_counts_by_first_occurrence():
     assert list(counted) == [("A",), ("B",)]
 
 
-def test_partition_control_flow_only_ignores_attributes():
+def test_validate_k_control_flow_only_ignores_attributes():
     log = clinic_log()
-    classes = partition(log)
-    assert [cls.size for cls in classes] == [1, 1]
+    assert validate_k(log, [], 1).class_sizes == (1, 1)
     same_flow = EventLog(
         schema=("r",),
         traces=(
@@ -54,36 +52,40 @@ def test_partition_control_flow_only_ignores_attributes():
             Trace("2", (Event("A", {"r": "y"}), Event("B", {"r": "z"}))),
         ),
     )
-    assert [cls.size for cls in partition(same_flow)] == [2]
+    assert validate_k(same_flow, [], 1).class_sizes == (2,)
     # Selecting the attribute splits the class again.
-    assert [cls.size for cls in partition(same_flow, ["r"])] == [1, 1]
+    assert validate_k(same_flow, ["r"], 1).class_sizes == (1, 1)
 
 
-def test_partition_signature_uses_schema_order():
+def test_validate_k_signature_uses_schema_order():
     log = EventLog(
         schema=("b", "a"),
         traces=(Trace("1", (Event("X", {"a": "1", "b": "2"}),)),),
     )
-    (cls,) = partition(log, ["a", "b"])
-    flow, columns = cls.signature
-    assert flow == ("X",)
+    ((signature, size),) = validate_k(log, ["a", "b"], 2).violations
+    flow, columns = signature
+    assert flow == ("X",) and size == 1
     assert columns == (("b", ("2",)), ("a", ("1",)))
 
 
-def test_partition_rejects_unknown_attribute():
+def test_validate_k_rejects_unknown_attribute():
     with pytest.raises(ValueError):
-        partition(clinic_log(), ["nope"])
+        validate_k(clinic_log(), ["nope"], 1)
 
 
-def test_trace_signature_matches_partition_grouping():
+def test_validate_k_classes_match_oracle():
     rng = random.Random(7)
-    log, _, attr_hs = random_instance(rng)
+    log, activity, attr_hs = random_instance(rng)
     selected = sorted(attr_hs)
-    classes = partition(log, selected)
+    report = validate_k(log, selected, len(log.traces) + 1)  # every class violates
+    levels = LevelVector(0, {attr: 0 for attr in selected})
+    assert sorted(report.class_sizes, reverse=True) == oracle_class_sizes(
+        log, levels, activity, attr_hs
+    )
     ordered = tuple(a for a in log.schema if a in set(selected))
-    for cls in classes:
-        for member in cls.members:
-            assert trace_signature(member, ordered) == cls.signature
+    assert {signature for signature, _ in report.violations} == {
+        trace_signature(trace, ordered) for trace in log.traces
+    }
 
 
 def test_validate_k_reports_violations():
@@ -133,7 +135,7 @@ def test_event_immutable():
 
 
 def test_wildcard_event_detection():
-    pad = wildcard_event(("r", "s"))
+    pad = Event(WILDCARD, {"r": WILDCARD, "s": WILDCARD})
     assert pad.is_wildcard
     assert pad.attributes == {"r": WILDCARD, "s": WILDCARD}
     # A fully masked real event keeps its origin and is not padding.
@@ -176,7 +178,7 @@ def test_trace_from_columns_equals_trace_from_events():
 
 
 def test_trace_events_view_keeps_padding_apart():
-    pad = wildcard_event(("r",))
+    pad = Event(WILDCARD, {"r": WILDCARD})
     masked = Event(WILDCARD, {"r": WILDCARD}, origin_index=1)
     trace = Trace.from_columns(
         "t", ("A", WILDCARD, WILDCARD, "B"), {"r": ("x", WILDCARD, WILDCARD, "y")},
@@ -228,4 +230,4 @@ def test_missing_literal_is_a_normal_value_for_grouping():
             Trace("2", (Event("A", {"r": MISSING}),)),
         ),
     )
-    assert [cls.size for cls in partition(log, ["r"])] == [2]
+    assert validate_k(log, ["r"], 1).class_sizes == (2,)

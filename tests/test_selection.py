@@ -9,14 +9,17 @@ from pmdg import (
     EventLog,
     Hierarchy,
     Trace,
-    level_utility,
-    score_hierarchy,
+    UnknownAttribute,
     select,
-    syntactic_hierarchy,
-    validate_table,
 )
 
-from helpers import clinic_hierarchies, clinic_log, random_hierarchy, random_raw_log
+from helpers import (
+    clinic_hierarchies,
+    clinic_log,
+    oracle_generalize,
+    random_hierarchy,
+    random_raw_log,
+)
 
 
 def single_event_log(attr, values):
@@ -28,7 +31,12 @@ def single_event_log(attr, values):
     )
 
 
-def test_level_utility_class_count_against_enumeration():
+def _per_level(log, hierarchy, notion="class_count"):
+    """The candidate's per-level utilities, as ``select`` reports them."""
+    return select(log, [hierarchy], notion=notion)[1][0].per_level
+
+
+def test_class_count_per_level_against_enumeration():
     # Six one-event traces; candidate merges them pairwise at level 1.
     log = single_event_log("role", ["r1", "r2", "r3", "r4", "r5", "r6"])
     deep = Hierarchy.from_rows(
@@ -42,65 +50,59 @@ def test_level_utility_class_count_against_enumeration():
         ],
         attribute="role",
     )
-    for level in (1, 2):
-        expected = len(
-            Counter(
-                tuple(deep.generalize(e.attributes["role"], level) for e in t.events)
-                for t in log.traces
-            )
-        )
-        assert level_utility(log, deep, level) == expected
-    assert level_utility(log, deep, 1) == 3.0
-    assert level_utility(log, deep, 2) == 1.0
-
-
-def test_level_utility_size_balance():
-    log = single_event_log("role", ["r1", "r1", "r2", "r2"])
-    flat = Hierarchy.from_rows(
-        [("r1", WILDCARD), ("r2", WILDCARD)], attribute="role"
+    expected = tuple(
+        len(Counter(
+            tuple(oracle_generalize(deep, e.attributes["role"], level) for e in t.events)
+            for t in log.traces
+        ))
+        for level in (1, 2)
     )
-    # Level 0 classes have sizes {2, 2}: perfectly balanced.
-    assert level_utility(log, flat, 0, notion="size_balance") == 1.0
+    assert _per_level(log, deep) == expected == (3.0, 1.0)
+
+
+def test_size_balance_per_level():
+    deep = Hierarchy.from_rows(
+        [("r1", "r1", WILDCARD), ("r2", "r2", WILDCARD)], attribute="role"
+    )
+    # Level 1 classes have sizes {2, 2}: perfectly balanced.
+    balanced = single_event_log("role", ["r1", "r1", "r2", "r2"])
+    assert _per_level(balanced, deep, "size_balance") == (1.0, 1.0)
     skewed = single_event_log("role", ["r1", "r1", "r1", "r2"])
-    value = level_utility(skewed, flat, 0, notion="size_balance")
-    assert 0 < value < 1
+    level_1, level_2 = _per_level(skewed, deep, "size_balance")
+    assert 0 < level_1 < 1 and level_2 == 1.0
 
 
-def test_level_utility_activity_perspective():
+def test_utility_of_the_activity_perspective():
     from pmdg import vectorize_msa
 
     raw = clinic_log()
     activity, _, _ = clinic_hierarchies()
     # Raw traces have different lengths, so they never share a class.
-    assert level_utility(raw, activity, 1) == 2.0
-    vectorized = vectorize_msa(raw)
-    assert level_utility(vectorized, activity, 1) == 1.0
-    assert level_utility(vectorized, activity, 2) == 1.0
+    assert _per_level(raw, activity) == (2.0, 2.0)
+    assert _per_level(vectorize_msa(raw), activity) == (1.0, 1.0)
 
 
-def test_level_utility_rejects_unknown_notion_and_attribute():
+def test_select_rejects_unknown_notion_and_attribute():
     log = clinic_log()
     _, role, _ = clinic_hierarchies()
     with pytest.raises(ValueError):
-        level_utility(log, role, 1, notion="vibes")
+        select(log, [role], notion="vibes")
     other = Hierarchy.from_rows([("x", WILDCARD)], attribute="nope")
-    from pmdg import UnknownAttribute
-
     with pytest.raises(UnknownAttribute):
-        level_utility(log, other, 0)
+        select(log, [role, other])
 
 
-def test_score_hierarchy_weight_extension():
+def test_select_weight_extension():
     log = single_event_log("role", ["r1", "r2"])
     deep = Hierarchy.from_rows(
         [("r1", "r1", "g", WILDCARD), ("r2", "r2", "g", WILDCARD)],
         attribute="role",
     )
-    profile = score_hierarchy(log, deep, weights=[1.0, 0.5])
+    (profile,) = select(log, [deep], weights=[1.0, 0.5])[1]
     assert profile.weights == (1.0, 0.5, 0.5)
     assert profile.per_level == (2.0, 1.0, 1.0)
     assert profile.total == 1.0 * 2 + 0.5 * 1 + 0.5 * 1
-    trimmed = score_hierarchy(log, deep, weights=[1.0, 1.0, 1.0, 1.0, 1.0])
+    (trimmed,) = select(log, [deep], weights=[1.0, 1.0, 1.0, 1.0, 1.0])[1]
     assert trimmed.weights == (1.0, 1.0, 1.0)
 
 
@@ -145,78 +147,6 @@ def test_select_tie_breaks_shallower_then_input_order():
 def test_select_requires_candidates():
     with pytest.raises(ValueError):
         select(clinic_log(), [])
-
-
-def test_syntactic_token_suffix_drop():
-    h = syntactic_hierarchy(["Call Center 1st Line", "Call Center 2nd Line"],
-                            "token_suffix_drop", attribute="group")
-    assert h.depth == 4
-    assert h.generalize("Call Center 1st Line", 1) == "Call Center 1st"
-    assert h.generalize("Call Center 1st Line", 2) == "Call Center"
-    assert h.generalize("Call Center 1st Line", 3) == "Call"
-    assert h.generalize("Call Center 1st Line", 4) == WILDCARD
-    single = syntactic_hierarchy(["Solo"], "token_suffix_drop")
-    assert single.depth == 1
-    assert single.table.rows == (("Solo", WILDCARD),)
-
-
-def test_syntactic_token_prefix_drop():
-    h = syntactic_hierarchy(["a b c", "z b c"], "token_prefix_drop")
-    assert h.generalize("a b c", 1) == "b c"
-    assert h.generalize("z b c", 1) == "b c"
-    assert h.generalize("a b c", 2) == "c"
-
-
-def test_syntactic_token_exhausted_values_pad_with_wildcard():
-    h = syntactic_hierarchy(["a", "a b"], "token_suffix_drop")
-    assert h.depth == 2
-    assert h.generalize("a", 1) == WILDCARD
-    assert h.generalize("a b", 1) == "a"
-    assert h.generalize("a b", 2) == WILDCARD
-
-
-def test_syntactic_char_suffix_mask():
-    h = syntactic_hierarchy(["12489"], "char_suffix_mask")
-    assert h.generalize("12489", 1) == "1248-"
-    assert h.generalize("12489", 3) == "12---"
-    assert h.generalize("12489", 5) == "-----"
-    assert h.generalize("12489", 6) == WILDCARD
-    wide = syntactic_hierarchy(["12489", "77"], "char_suffix_mask", width=2)
-    assert wide.generalize("12489", 1) == "124--"
-    assert wide.generalize("77", 1) == "--"
-    assert wide.generalize("12489", 2) == "1----"
-    assert wide.generalize("12489", 3) == "-----"
-    assert wide.depth == 4
-
-
-def test_syntactic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        syntactic_hierarchy(["a"], "unknown_scheme")
-    with pytest.raises(ValueError):
-        syntactic_hierarchy([], "token_suffix_drop")
-    with pytest.raises(ValueError):
-        syntactic_hierarchy(["a"], "char_suffix_mask", width=0)
-    with pytest.raises(ValueError):
-        syntactic_hierarchy([WILDCARD], "token_suffix_drop")
-
-
-def test_syntactic_tables_are_always_valid():
-    rng = random.Random(3)
-    alphabet = "ab -"
-    for _ in range(50):
-        values = {
-            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))).strip()
-            for _ in range(rng.randint(1, 8))
-        }
-        values = {v for v in values if v}
-        if not values:
-            continue
-        for scheme in ("token_suffix_drop", "token_prefix_drop", "char_suffix_mask"):
-            h = syntactic_hierarchy(values, scheme, width=rng.randint(1, 3))
-            validate_table(h.table.rows)  # must not raise
-            for v in values:
-                assert h.generalize(v, h.depth) == WILDCARD
-                assert h.generalize(v, 0) == v
 
 
 def test_select_on_random_logs_is_deterministic():

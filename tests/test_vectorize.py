@@ -10,7 +10,6 @@ from pmdg import (
     Event,
     EventLog,
     Trace,
-    align_pair,
     control_flow,
     variants,
     vectorize_msa,
@@ -35,68 +34,49 @@ def project(trace):
     ]
 
 
-def test_align_pair_clinic_cases():
+def _two_trace_msa(a, b):
+    """The two output control flows of ``vectorize_msa`` on traces ``a`` and ``b``."""
+    log = EventLog(schema=(), traces=(
+        Trace("a", tuple(Event(symbol) for symbol in a)),
+        Trace("b", tuple(Event(symbol) for symbol in b)),
+    ))
+    return tuple(control_flow(trace) for trace in vectorize_msa(log).traces)
+
+
+def test_two_trace_msa_clinic_layout_is_the_unique_optimum():
     a = ("Register", "Vitals", "Consultation", "CT Scan")
     b = ("Register", "Consultation", "MRI Scan")
-    result = align_pair(a, b)
     # The exhaustive oracle confirms this optimum is unique: two matches
     # are only reachable with four columns, the shorter trace gapping at
     # column 1 and the two scans sharing the final column.
     best = max(all_alignments(a, b), key=lambda r: (r[0], -r[1]))
     optimal = [r for r in all_alignments(a, b) if (r[0], r[1]) == (best[0], best[1])]
     assert len(optimal) == 1
-    assert result.aligned_length == optimal[0][1] == 4
-    assert result.positions == (optimal[0][2], optimal[0][3])
-    assert result.positions == ((0, 1, 2, 3), (0, 2, 3))
+    assert optimal[0][2:] == ((0, 1, 2, 3), (0, 2, 3))
+    assert _two_trace_msa(a, b) == (a, ("Register", WILDCARD, "Consultation", "MRI Scan"))
 
 
-def test_align_pair_identical():
-    result = align_pair(("A", "B"), ("A", "B"))
-    assert result.aligned_length == 2
-    assert result.positions == ((0, 1), (0, 1))
-
-
-def test_align_pair_disjoint_symbols_share_a_column():
-    # No matches are possible either way; a single mismatch column beats
-    # two gap columns under the fewest-columns tie-break.
-    result = align_pair(("A",), ("B",))
-    assert oracle_best_pairwise(("A",), ("B",)) == (0, 1)
-    assert result.aligned_length == 1
-    assert result.positions == ((0,), (0,))
-
-
-def test_align_pair_empty_sides():
-    assert align_pair((), ("A", "B")).positions == ((), (0, 1))
-    assert align_pair(("A",), ()).positions == ((0,), ())
-    assert align_pair((), ()).aligned_length == 0
-
-
-def test_align_pair_wildcard_never_matches():
-    result = align_pair((WILDCARD,), (WILDCARD,))
-    assert oracle_best_pairwise((WILDCARD,), (WILDCARD,))[0] == 0
-    # Still one column (fewest-columns tie-break), but zero matches.
-    assert result.aligned_length == 1
-
-
-def test_align_pair_matches_oracle_on_random_sequences():
+def test_two_trace_msa_matches_pairwise_oracle():
+    # Width is the oracle's column count (most matches, then fewest
+    # columns) and the matched columns are the oracle's matches.  Fixed
+    # cases: disjoint symbols share one column rather than two gap
+    # columns, either side may be empty, and ``⋆`` matches nothing.
     rng = random.Random(5)
     alphabet = ["A", "B", "C", "D", WILDCARD]
-    for _ in range(200):
-        a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
-        b = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
-        result = align_pair(a, b)
+    pairs = [(("A",), ("B",)), ((), ("A", "B")), (("A",), ()), ((), ()),
+             ((WILDCARD,), (WILDCARD,)), (("A", "B"), ("A", "B"))]
+    pairs += [
+        tuple(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7))) for _ in "ab")
+        for _ in range(200)
+    ]
+    for a, b in pairs:
+        out_a, out_b = _two_trace_msa(a, b)
         matches, columns = oracle_best_pairwise(a, b)
-        assert result.aligned_length == columns
-        achieved = sum(
-            1
-            for x, pa in zip(a, result.positions[0])
-            for y, pb in zip(b, result.positions[1])
-            if pa == pb and x == y and x != WILDCARD
-        )
-        assert achieved == matches
-        for positions, sequence in zip(result.positions, (a, b)):
-            assert len(positions) == len(sequence)
-            assert list(positions) == sorted(set(positions))
+        assert len(out_a) == len(out_b) == columns
+        assert sum(x == y != WILDCARD for x, y in zip(out_a, out_b)) == matches
+        for before, after in ((a, out_a), (b, out_b)):
+            assert [x for x in after if x != WILDCARD] == [x for x in before if x != WILDCARD]
+    assert _two_trace_msa(("A",), ("B",)) == (("A",), ("B",))
 
 
 def test_center_score_matches_oracle():
