@@ -3,27 +3,26 @@
 A lattice node fixes one generalization level per perspective (a
 :class:`LevelVector`).  The search finds a minimum-cost node — cost
 being the sum of all levels — whose generalized log is k-anonymous,
-in two phases:
+in two phases that share one walk, :func:`_first_hit`:
 
 1. *Control flow first.*  The activity level is raised in isolation
-   until the control-flow classes alone satisfy k.  Sequence structure
-   is what process analysis lives on, so it gets the first claim on
-   precision; the chosen level is then frozen.
+   until the control-flow classes alone satisfy k: the walk's
+   one-perspective case, over the distinct control flows.  Sequence
+   structure is what process analysis lives on, so it gets the first
+   claim on precision; the chosen level is then frozen.
 
-2. *Attribute lattice.*  With the activity level fixed, attribute level
-   vectors are enumerated by ascending cost, ties in a fixed order
-   (levels compared left-to-right over the attribute names sorted
-   alphabetically), and the first satisfying node wins.  Generalizing
-   further never splits an equivalence class (levels are monotone), so
-   every node skipped on the way to the first hit is genuinely
-   unsatisfiable and nodes above a satisfiable one need no visit.
+2. *Attribute lattice.*  The walk runs over the distinct raw signatures
+   (:func:`~pmdg.model.trace_signature`): the frozen flows are a
+   one-level perspective, then come the attributes, sorted by name.
 
-Phase 1 runs on the distinct control flows, and phase 2 on the distinct
-raw signatures (:func:`~pmdg.model.trace_signature`), each weighted by
-its number of traces: equal rows share a class at every node.  Phase 2
-interns each generalized value sequence to a small int, so a node check
-counts tuples of ints.  The returned log is built once from the chosen
-vector, and the k requirement is re-checked on it before returning.
+The walk tries level vectors by ascending cost, ties in lexicographic
+order, and the first satisfying node wins.  Generalizing further never
+splits an equivalence class (levels are monotone), so every node skipped
+on the way is genuinely unsatisfiable and nodes above a satisfiable one
+need no visit.  Each distinct row is weighted by its number of traces
+and holds interned ints, so a check counts tuples of ints.  The returned
+log is built once from the chosen vector, and the k requirement is
+re-checked on it before returning.
 """
 
 from __future__ import annotations
@@ -32,11 +31,11 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientTraces
-from .hierarchy import Hierarchy, LevelVector, apply_to_log
-from .model import WILDCARD, EventLog, control_flow, trace_signature, validate_k
+from .hierarchy import Hierarchy, LevelVector, _mask, apply_to_log
+from .model import EventLog, control_flow, trace_signature, validate_k
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +43,9 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class LatticeSearchResult:
     """Outcome of a lattice search: the chosen node, the generalized log,
-    and bookkeeping about the search itself."""
+    and bookkeeping about the search itself.  ``nodes_evaluated`` is the
+    chosen activity level + 1 plus the chosen attribute vector's rank
+    (from 1) in the ascending walk."""
 
     chosen: LevelVector
     anonymized: EventLog
@@ -78,35 +79,57 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
             f"log has {len(log.traces)} traces, cannot form classes of size {k}"
         )
     flows = Counter(control_flow(trace) for trace in log.traces)
-    for level in range(activity_hierarchy.depth + 1):
-        classes: dict[tuple[str, ...], int] = {}
-        for image, count in zip(activity_hierarchy.images(flows, level), flows.values()):
-            classes[image] = classes.get(image, 0) + count
-        if min(classes.values()) >= k:
-            return level
-    # Generalization never changes trace lengths, so a length that occurs
-    # fewer than k times can never be hidden; only re-vectorizing helps.
-    raise InsufficientTraces(
-        f"some trace lengths occur fewer than {k} times; vectorize the log "
-        "to a uniform length first"
-    )
+    hit = _first_hit([_levels(activity_hierarchy, flows)], list(flows.values()), k)
+    if hit is None:
+        # Generalization never changes trace lengths, so a length that occurs
+        # fewer than k times can never be hidden; only re-vectorizing helps.
+        raise InsufficientTraces(
+            f"some trace lengths occur fewer than {k} times; vectorize the log "
+            "to a uniform length first"
+        )
+    return hit[0][0]
 
 
 def _ascending_vectors(depths: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All level vectors bounded by ``depths``, by ascending cost, ties
-    in lexicographic order."""
+    """All level vectors bounded by ``depths``, by ascending cost, ties in
+    lexicographic order: each raises the rightmost level it can by one,
+    paid for by the levels right of it, which then sit as far right as
+    they fit; when none can, the next cost starts from the right."""
+    levels = [0] * len(depths)
+    while True:
+        yield tuple(levels)
+        right = 0  # sum of the levels right of ``position``
+        for position in reversed(range(len(levels))):
+            if right and levels[position] < depths[position]:
+                levels[position] += 1
+                budget = right - 1
+                break
+            right += levels[position]
+        else:
+            position, budget = -1, right + 1
+            if budget > sum(depths):
+                return
+        for i in reversed(range(position + 1, len(levels))):
+            levels[i] = min(depths[i], budget)
+            budget -= levels[i]
 
-    def compositions(budget: int, remaining: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            if budget == 0:
-                yield ()
-            return
-        for level in range(0, min(remaining[0], budget) + 1):
-            for rest in compositions(budget - level, remaining[1:]):
-                yield (level, *rest)
 
-    for cost in range(sum(depths) + 1):
-        yield from compositions(cost, depths)
+def _first_hit(
+    columns: Sequence[Sequence[Sequence[Hashable]]], weights: Sequence[int], k: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The lattice walk: the first level vector, in ascending order, whose
+    weighted classes all reach size k, and the number of vectors checked,
+    or ``None``.  ``columns[d][level]`` holds each distinct row's key in
+    perspective ``d`` at that level, ``weights`` each row's trace count."""
+    depths = [len(levels) - 1 for levels in columns]
+    for checked, vector in enumerate(_ascending_vectors(depths), start=1):
+        streams = [levels[level] for levels, level in zip(columns, vector)]
+        sizes: dict[tuple, int] = {}
+        for key, weight in zip(zip(*streams), weights):
+            sizes[key] = sizes.get(key, 0) + weight
+        if min(sizes.values()) >= k:
+            return vector, checked
+    return None
 
 
 def _interned(items: Iterable[tuple]) -> list[int]:
@@ -115,47 +138,10 @@ def _interned(items: Iterable[tuple]) -> list[int]:
     return [ids.setdefault(item, len(ids)) for item in items]
 
 
-def _walk_attribute_lattice(
-    log: EventLog,
-    activity_level: int,
-    activity_hierarchy: Hierarchy,
-    attribute_hierarchies: Mapping[str, Hierarchy],
-    selected: Sequence[str],
-    k: int,
-) -> tuple[tuple[int, ...], int]:
-    """Phase 2: the first attribute level vector, in ascending order, whose
-    classes all reach size k, and the number of vectors checked.
-
-    The walk runs on the log's distinct raw signatures, each weighted by
-    how many traces share it, and a node key is one interned int per
-    perspective.  Rows whose flow holds a wildcard are masked once, on
-    their raw values, since every level maps ``⋆`` to itself.
-    """
-    rows = Counter(trace_signature(trace, selected) for trace in log.traces)
-    weights = list(rows.values())
-    flows = list(activity_hierarchy.images((flow for flow, _ in rows), activity_level))
-    masked = [i for i, flow in enumerate(flows) if WILDCARD in flow]
-    columns: dict[tuple[str, int], list[int]] = {}
-    for position, attr in enumerate(selected):
-        hierarchy = attribute_hierarchies[attr]
-        raw = [sequences[position][1] for _, sequences in rows]
-        for i in masked:
-            raw[i] = tuple(WILDCARD if a == WILDCARD else v for a, v in zip(flows[i], raw[i]))
-        for level in range(hierarchy.depth + 1):
-            columns[attr, level] = _interned(hierarchy.images(raw, level))
-
-    flow_ids = _interned(flows)
-    depths = [attribute_hierarchies[attr].depth for attr in selected]
-    for checked, levels in enumerate(_ascending_vectors(depths), start=1):
-        streams = [columns[pair] for pair in zip(selected, levels)]
-        sizes: dict[tuple[int, ...], int] = {}
-        for key, weight in zip(zip(flow_ids, *streams), weights):
-            sizes[key] = sizes.get(key, 0) + weight
-        if min(sizes.values()) >= k:
-            return levels, checked
-    # With every attribute fully generalized the classes coincide with
-    # the control-flow classes of phase 1, so the top node satisfies k.
-    raise AssertionError("internal error: no lattice node satisfies k")
+def _levels(hierarchy: Hierarchy, sequences: Iterable[tuple]) -> list[list[int]]:
+    """The sequences' interned images at every level of the hierarchy."""
+    levels = range(hierarchy.depth + 1)
+    return [_interned(hierarchy.images(sequences, level)) for level in levels]
 
 
 def search(
@@ -188,21 +174,28 @@ def search(
         values = dict.fromkeys(chain.from_iterable(t.columns[attr] for t in log.traces))
         list(map(attribute_hierarchies[attr].lookup(0).__getitem__, values))
     activity_level = search_control_flow(log, activity_hierarchy, k)
-    chosen_levels, checked = _walk_attribute_lattice(
-        log, activity_level, activity_hierarchy, attribute_hierarchies, selected, k
-    )
+
+    # Phase 2.  A row is masked once, on its raw values, since every
+    # level maps ``⋆`` to itself.
+    rows = Counter(trace_signature(trace, selected) for trace in log.traces)
+    flows = list(activity_hierarchy.images((flow for flow, _ in rows), activity_level))
+    columns = [[_interned(flows)]]
+    for position, attr in enumerate(selected):
+        raw = [_mask(flow, values[position][1]) for flow, (_, values) in zip(flows, rows)]
+        columns.append(_levels(attribute_hierarchies[attr], raw))
+    hit = _first_hit(columns, list(rows.values()), k)
+    if hit is None:  # the top node's classes are phase 1's, which reach k
+        raise AssertionError("internal error: no lattice node satisfies k")
+    (_, *chosen_levels), checked = hit
     depths = [attribute_hierarchies[attr].depth for attr in selected]
-    maxed_out = bool(selected) and list(chosen_levels) == depths
+    maxed_out = bool(selected) and chosen_levels == depths
     if maxed_out:
         logger.warning(
             "attribute lattice exhausted: every selected attribute is fully "
             "generalized at the frozen activity level %d",
             activity_level,
         )
-    chosen = LevelVector(
-        activity_level=activity_level,
-        attribute_levels=dict(zip(selected, chosen_levels)),
-    )
+    chosen = LevelVector(activity_level, dict(zip(selected, chosen_levels)))
     anonymized = apply_to_log(log, chosen, activity_hierarchy, attribute_hierarchies)
     report = validate_k(anonymized, selected, k)
     if not report.ok:

@@ -220,6 +220,15 @@ class LevelVector:
         }
 
 
+def _mask(flow: tuple[str, ...], column: tuple[str, ...]) -> tuple[str, ...]:
+    """The column with ``⋆`` wherever the flow's activity is ``⋆``: once the
+    control flow no longer admits that anything specific happened there, a
+    concrete role or location would leak what the wildcard hides."""
+    if WILDCARD not in flow:
+        return column
+    return tuple([WILDCARD if a == WILDCARD else v for a, v in zip(flow, column)])
+
+
 def apply_to_log(
     log: EventLog,
     levels: LevelVector,
@@ -233,13 +242,10 @@ def apply_to_log(
     ``levels.attribute_levels`` by its generalization at that attribute's
     level.  Attributes without an entry are left untouched.
 
-    An event whose activity generalizes to ``⋆`` is masked entirely: all
-    its attribute values become ``⋆`` as well, whatever their own level
-    says.  Once the control flow no longer admits that anything specific
-    happened at a position, keeping a concrete role or location there
-    would leak exactly the information the wildcard was meant to hide.
-    Masked events keep their ``origin_index``; inserted wildcard events
-    (all ``⋆``) come out as they went in.
+    An event whose activity generalizes to ``⋆`` is masked entirely, by
+    :func:`_mask`, the one statement of that rule.  Masked events keep
+    their ``origin_index``; inserted wildcard events (all ``⋆``) come out
+    as they went in.
 
     Each distinct column is generalized once, by one ``map`` through the
     level's table, before any masking, so an unknown value raises
@@ -266,9 +272,7 @@ def apply_to_log(
         attr, flow, column = key
         if attr in tables:
             column = tuple(map(tables[attr], column))
-        if WILDCARD in flow:
-            column = tuple(WILDCARD if a == WILDCARD else v for a, v in zip(flow, column))
-        return share(column)
+        return share(_mask(flow, column))
 
     flows = _Memo(lambda flow: share(tuple(map(activities, flow))))
     images = _Memo(image)  # (attribute, image flow, column) -> image column

@@ -41,6 +41,7 @@ import yaml
 
 from .errors import (
     ConfigError,
+    DataError,
     EmptyLog,
     IoFailure,
     MalformedXml,
@@ -57,7 +58,9 @@ from .vectorize import STRATEGIES
 
 @dataclass(frozen=True)
 class LogCsvSpec:
-    """Column layout of a log CSV file."""
+    """Column layout of a log CSV file.  The two key columns, case and
+    activity, differ from each other and from every attribute column
+    (in NFC form), or :class:`ConfigError` is raised."""
 
     case_column: str = "case"
     activity_column: str = "activity"
@@ -72,6 +75,12 @@ class LogCsvSpec:
         columns = self.attribute_columns
         if columns is not None and len(set(columns)) != len(columns):
             raise ConfigError(f"attribute columns repeat a name: {list(columns)}")
+        keys = (_nfc(self.case_column), _nfc(self.activity_column))
+        if keys[0] == keys[1]:
+            raise ConfigError(f"case and activity column are both {self.case_column!r}")
+        clash = [name for name in columns or () if _nfc(name) in keys]
+        if clash:
+            raise ConfigError(f"attribute column {clash[0]!r} is a key column")
 
     def resolve_attributes(self, header: Sequence[str]) -> tuple[str, ...]:
         """Attribute columns, defaulting to every non-key header column."""
@@ -189,10 +198,17 @@ def write_log_csv(
     event.  Its column survives, so handover precision of a re-read log
     needs the vectorized original, which is matched by column.
 
-    Each trace is written as its columns zipped into rows.
+    Each trace is written as its columns zipped into rows.  A written
+    attribute named like a key column (an XES key ``case``, say) would
+    make the file unreadable, so it raises :class:`DataError` before the
+    file is created.
     """
     spec = spec or LogCsvSpec()
     names = spec.attribute_columns or log.schema
+    keys = (_nfc(spec.case_column), _nfc(spec.activity_column))
+    clash = [name for name in names if _nfc(name) in keys]
+    if clash:
+        raise DataError(f"cannot write {path}: attribute {clash[0]!r} names a key column")
     header = [spec.case_column, spec.activity_column, *names]
     render = _Memo(lambda cell: wildcard if cell == WILDCARD else cell).__getitem__
     try:
@@ -287,7 +303,12 @@ def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo) -> tuple[list, 
 
     parser.StartElementHandler, parser.EndElementHandler = start, end
     parser.SkippedEntityHandler = skipped
-    parser.ParseFile(handle)
+    try:
+        parser.ParseFile(handle)
+    finally:
+        # The parser holds the handlers, which hold it and each other: break
+        # that cycle so the parse state goes as soon as the read returns.
+        del parser, start, end, event_start, event_end
     return traces, tuple(schema)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from pmdg import (
     vectorize_msa,
     vectorize_naive,
 )
+from pmdg.anonymize import _ascending_vectors
 
 from helpers import (
     clinic_hierarchies,
@@ -52,6 +54,45 @@ def test_search_control_flow_unvectorized_lengths_cannot_satisfy():
     raw = clinic_log()  # lengths 4 and 3, generalization cannot merge them
     with pytest.raises(InsufficientTraces):
         search_control_flow(raw, activity, 2)
+
+
+def test_search_control_flow_matches_brute_force():
+    """Phase 1 returns the smallest activity level whose control-flow
+    classes satisfy k under the oracle, on raw and vectorized logs, and
+    raises exactly when no level does or the log has fewer than k traces."""
+    rng = random.Random(47)
+    outcomes = Counter()
+    for _ in range(40):
+        log, activity, _ = random_instance(rng)
+        for candidate in (log, vectorize_msa(log)):
+            for k in range(1, 5):
+                levels = [
+                    level
+                    for level in range(activity.depth + 1)
+                    if oracle_satisfies(candidate, LevelVector(level, {}), activity, {}, k)
+                ]
+                if levels and len(candidate.traces) >= k:
+                    assert search_control_flow(candidate, activity, k) == levels[0]
+                    outcomes[levels[0] > 0] += 1
+                else:
+                    with pytest.raises(InsufficientTraces):
+                        search_control_flow(candidate, activity, k)
+                    outcomes["raised"] += 1
+    assert min(outcomes[True], outcomes[False], outcomes["raised"]) >= 10
+
+
+def test_ascending_vectors_order_and_laziness():
+    """Every vector bounded by the depths, once, by ascending cost with
+    ties in lexicographic order; the walk yields them one at a time."""
+    rng = random.Random(53)
+    shapes = [(), (0,), (3,), (0, 0), (2, 0, 1), (0, 4, 0, 2)]
+    shapes += [tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5))) for _ in range(50)]
+    for depths in shapes:
+        lattice = itertools.product(*(range(depth + 1) for depth in depths))
+        expected = sorted(lattice, key=lambda vector: (sum(vector), vector))
+        assert list(_ascending_vectors(depths)) == expected
+    walk = _ascending_vectors([4] * 40)  # 5**40 vectors: only a lazy walk gets far
+    assert list(itertools.islice(walk, 42))[-2:] == [(1,) + (0,) * 39, (0,) * 39 + (2,)]
 
 
 def test_satisfies_clinic_nodes():

@@ -283,6 +283,12 @@ MALFORMED_INPUTS = [
      ["validate", "--in", "{log}", "--k", "1", "--wildcard-literal", ""], 2),
     ("empty-xes", ["validate", "--in", "{empty_xes}", "--k", "2"], 3),
     ("truncated-xes", ["validate", "--in", "{truncated_xes}", "--k", "2"], 3),
+    ("key-column-as-attribute-flag",
+     ["vectorize", "--in", "{log}", "--out", "{out}", "--columns", "activity,role"], 2),
+    ("case-column-is-activity-column",
+     ["metrics", "variants", "--in", "{log}", "--case-column", "activity"], 2),
+    ("xes-attribute-named-case",
+     ["vectorize", "--in", "{case_attribute_xes}", "--out", "{out}"], 3),
 ]
 
 # Every root child is empty or not a trace: no events at all.
@@ -290,6 +296,12 @@ EMPTY_XES = (
     '<log xmlns="http://www.xes-standard.org/">'
     '<string key="concept:name" value="log"/><trace/>'
     '<trace><string key="concept:name" value="c1"/></trace></log>'
+)
+# An event attribute named like the CSV case column.
+CASE_ATTRIBUTE_XES = (
+    '<log><trace><string key="concept:name" value="c1"/><event>'
+    '<string key="concept:name" value="A"/><string key="case" value="x"/>'
+    "</event></trace></log>"
 )
 TRUNCATED_XES = (
     '<log><trace><event><string key="concept:name" value="A"/></event></trace>'
@@ -350,6 +362,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     )
     (workdir / "empty.xes").write_text(EMPTY_XES, encoding="utf-8")
     (workdir / "truncated.xes").write_text(TRUNCATED_XES, encoding="utf-8")
+    (workdir / "case_attribute.xes").write_text(CASE_ATTRIBUTE_XES, encoding="utf-8")
     paths = {
         name: str(workdir / file)
         for name, file in {
@@ -372,6 +385,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "mixed_keys_config": "mixed_keys_config.yaml",
             "empty_xes": "empty.xes",
             "truncated_xes": "truncated.xes",
+            "case_attribute_xes": "case_attribute.xes",
         }.items()
     }
     code = main([arg.format(**paths) for arg in argv])

@@ -6,6 +6,7 @@ from pmdg import (
     MISSING,
     WILDCARD,
     ConfigError,
+    DataError,
     EmptyLog,
     Event,
     EventLog,
@@ -152,6 +153,17 @@ def test_write_log_csv_quotes_delimiters(tmp_path):
     path = tmp_path / "log.csv"
     write_log_csv(log, path)
     assert read_log_csv(path) == log
+
+
+@pytest.mark.parametrize("name, case_column", [
+    ("case", "case"), ("activity", "case"), ("Cafe\u0301", "Caf\u00e9"),
+])
+def test_write_log_csv_refuses_attribute_named_like_key_column(tmp_path, name, case_column):
+    log = EventLog(schema=(name,), traces=(Trace("1", (Event("A", {name: "x"}),)),))
+    path = tmp_path / "log.csv"
+    with pytest.raises(DataError, match="key column"):
+        write_log_csv(log, path, LogCsvSpec(case_column=case_column))
+    assert not path.exists()
 
 
 XES = """<?xml version="1.0" encoding="UTF-8"?>
@@ -348,6 +360,10 @@ csv:
         "k: 2\nactivity_hierarchies: [a.csv]\nattribute_hierarchies: {true: [r.csv]}\n",
         "k: 2\nactivity_hierarchies: [a.csv]\n1: x\nsurprise: y\n",
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {1: x, separator: y}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {case_column: activity}\n",
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {attribute_columns: [role, case]}\n",
+        'k: 2\nactivity_hierarchies: [a.csv]\n'
+        'csv: {case_column: "Caf\\u00e9", activity_column: "Cafe\\u0301"}\n',
     ],
 )
 def test_load_config_rejects_invalid(tmp_path, snippet):
