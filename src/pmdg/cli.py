@@ -35,6 +35,7 @@ from .hierarchy import Hierarchy
 from .logio import (
     LogCsvSpec,
     PipelineConfig,
+    _written_attributes,
     check_level_weights,
     load_config,
     read_hierarchy,
@@ -144,6 +145,8 @@ def run_pipeline(
 
     started = time.perf_counter()
     log = _read_log(input_path, config.csv, config.wildcard)
+    if output_path is not None:  # fail before the work, not at the write
+        _written_attributes(log, output_path, config.csv)
     for attr in config.quasi_identifiers:
         if attr not in log.schema:
             raise UnknownAttribute(f"log has no attribute {attr!r}")

@@ -75,12 +75,15 @@ class LogCsvSpec:
         columns = self.attribute_columns
         if columns is not None and len(set(columns)) != len(columns):
             raise ConfigError(f"attribute columns repeat a name: {list(columns)}")
-        keys = (_nfc(self.case_column), _nfc(self.activity_column))
-        if keys[0] == keys[1]:
+        if _nfc(self.case_column) == _nfc(self.activity_column):
             raise ConfigError(f"case and activity column are both {self.case_column!r}")
-        clash = [name for name in columns or () if _nfc(name) in keys]
-        if clash:
-            raise ConfigError(f"attribute column {clash[0]!r} is a key column")
+        if (clash := self._key_clash(columns or ())) is not None:
+            raise ConfigError(f"attribute column {clash!r} is a key column")
+
+    def _key_clash(self, names: Sequence[str]) -> str | None:
+        """The first of ``names`` that, in NFC form, is a key column."""
+        keys = (_nfc(self.case_column), _nfc(self.activity_column))
+        return next((name for name in names if _nfc(name) in keys), None)
 
     def resolve_attributes(self, header: Sequence[str]) -> tuple[str, ...]:
         """Attribute columns, defaulting to every non-key header column."""
@@ -137,11 +140,8 @@ def read_log_csv(
                 raise EmptyLog(f"{path}: file is empty") from None
             if len(set(map(_nfc, header))) != len(header):
                 raise ParseError(f"{path}: header repeats a column name: {header}")
-            for column in (spec.case_column, spec.activity_column):
-                if column not in header:
-                    raise MissingColumn(f"{path}: header has no column {column!r}")
             schema = spec.resolve_attributes(header)
-            for column in schema:
+            for column in (spec.case_column, spec.activity_column, *schema):
                 if column not in header:
                     raise MissingColumn(f"{path}: header has no column {column!r}")
             case_at, width = header.index(spec.case_column), len(header)
@@ -183,6 +183,15 @@ def read_log_csv(
     return EventLog(schema=schema, traces=tuple(traces))
 
 
+def _written_attributes(log: EventLog, path: str | Path, spec: LogCsvSpec) -> tuple[str, ...]:
+    """The attribute columns of ``log`` written to ``path``, or :class:`DataError`
+    for one named like a key column (an XES key ``case``, say)."""
+    names = spec.attribute_columns or log.schema
+    if (clash := spec._key_clash(names)) is not None:
+        raise DataError(f"cannot write {path}: attribute {clash!r} names a key column")
+    return names
+
+
 def write_log_csv(
     log: EventLog,
     path: str | Path,
@@ -198,17 +207,12 @@ def write_log_csv(
     event.  Its column survives, so handover precision of a re-read log
     needs the vectorized original, which is matched by column.
 
-    Each trace is written as its columns zipped into rows.  A written
-    attribute named like a key column (an XES key ``case``, say) would
-    make the file unreadable, so it raises :class:`DataError` before the
-    file is created.
+    Each trace is written as its columns zipped into rows.  An attribute
+    named like a key column would make the file unreadable, so it raises
+    :class:`DataError` before the file is created.
     """
     spec = spec or LogCsvSpec()
-    names = spec.attribute_columns or log.schema
-    keys = (_nfc(spec.case_column), _nfc(spec.activity_column))
-    clash = [name for name in names if _nfc(name) in keys]
-    if clash:
-        raise DataError(f"cannot write {path}: attribute {clash[0]!r} names a key column")
+    names = _written_attributes(log, path, spec)
     header = [spec.case_column, spec.activity_column, *names]
     render = _Memo(lambda cell: wildcard if cell == WILDCARD else cell).__getitem__
     try:
@@ -515,12 +519,15 @@ def load_config(path: str | Path) -> PipelineConfig:
             f"{path}: csv.attribute_columns must be a list of column names",
         )
         attribute_columns = tuple(attribute_columns)
-    csv_spec = LogCsvSpec(
-        case_column=csv_raw.get("case_column", "case"),
-        activity_column=csv_raw.get("activity_column", "activity"),
-        attribute_columns=attribute_columns,
-        delimiter=csv_raw.get("delimiter", ","),
-    )
+    try:
+        csv_spec = LogCsvSpec(
+            case_column=csv_raw.get("case_column", "case"),
+            activity_column=csv_raw.get("activity_column", "activity"),
+            attribute_columns=attribute_columns,
+            delimiter=csv_raw.get("delimiter", ","),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     return PipelineConfig(
         k=k,

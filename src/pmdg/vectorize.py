@@ -27,15 +27,13 @@ vectorization is deterministic across runs and platforms.
 Cost, for V distinct variants of length at most L aligned into W
 columns:
 
-* Center selection needs only the match count of every variant pair,
-  which is the length of their longest common subsequence.  It is
-  computed bit-parallel over Python ints (Allison & Dix 1986; Hyyrö
-  2004): each variant is turned once into a ``{symbol: bitmask of its
-  positions}`` map, and the other variant is then scanned symbol by
-  symbol with one add, one subtract and a few masks per symbol.  The
-  wildcard is left out of the masks, so it finds no match anywhere,
-  which is exactly the "wildcard never matches" rule.  All pairs cost
-  O(V²·L) operations on L-bit ints instead of O(V²·L²) Python steps.
+* Center selection needs each variant's summed match count against all
+  others, a sum of longest-common-subsequence lengths.  Every variant
+  owns one lane of ``len + 1`` bits of a single packed int; the top bit
+  of a lane is a guard that absorbs its carry.  Scanning a variant with
+  the bit-parallel LCS step (Allison & Dix 1986; Hyyrö 2004) scores it
+  against every lane at once.  The wildcard gets no mask, so it matches
+  nothing.  That is O(V·L) steps on V·(L+1)-bit ints.
 * Each profile column keeps a count per symbol of the members it holds,
   so a DP cell's gain is one dict lookup, and a merge updates the
   columns in place.  Progressive alignment costs O(V·L·W).
@@ -99,9 +97,8 @@ def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) ->
     """Spread each trace's columns by ``gather_of(trace)`` (see
     :func:`_gather`), filling the other columns with wildcard padding.
     A real event without an origin gets its position in the input trace."""
-    share = _Memo().__getitem__
     # (spread, column, filler) -> the output column, once per distinct key
-    placed = _Memo(lambda key: share(key[0]((*key[1], key[2]))))
+    placed = _Memo(lambda key: key[0]((*key[1], key[2])))
     traces = []
     for trace in log.traces:
         spread, origins = gather_of(trace), trace.origins
@@ -186,32 +183,29 @@ def _align_to_profile(
     return merged
 
 
-def _symbol_masks(sequence: tuple[str, ...]) -> dict[str, int]:
-    """Bit *p* of ``masks[s]`` is set when ``sequence[p] == s``.  The
-    wildcard gets no mask, so it matches nothing."""
+def _match_totals(order: Sequence[tuple[str, ...]]) -> list[int]:
+    """Each variant's summed match count against all others (see Cost
+    above).  A zero bit of ``row`` marks a position where the LCS of the
+    scanned prefix grows by one.  The scan also meets the variant's own
+    lane, where it matches its non-wildcard count."""
     masks: dict[str, int] = {}
-    for position, symbol in enumerate(sequence):
-        if symbol != WILDCARD:
-            masks[symbol] = masks.get(symbol, 0) | (1 << position)
-    return masks
-
-
-def _lcs_length(masks: dict[str, int], length: int, sequence: tuple[str, ...]) -> int:
-    """Match count of the optimal pairwise alignment of ``sequence``
-    against the sequence of the given ``length`` whose
-    :func:`_symbol_masks` are ``masks`` (bit-parallel LCS, Hyyrö 2004).
-
-    A zero bit of ``row`` marks a position where the LCS of the scanned
-    prefix grows by one, so the LCS length is the number of zero bits.
-    """
-    full = (1 << length) - 1
-    row = full
-    for symbol in sequence:
-        mask = masks.get(symbol)
-        if mask:
-            hits = row & mask
-            row = ((row + hits) | (row - hits)) & full
-    return length - row.bit_count()
+    full = offset = 0
+    for flow in order:
+        for position, symbol in enumerate(flow, offset):
+            if symbol != WILDCARD:
+                masks[symbol] = masks.get(symbol, 0) | 1 << position
+        full |= ((1 << len(flow)) - 1) << offset
+        offset += len(flow) + 1
+    totals = []
+    for flow in order:
+        row = full
+        for symbol in flow:
+            if mask := masks.get(symbol):  # none for the wildcard
+                hits = row & mask
+                row = ((row + hits) | (row - hits)) & full
+        own = len(flow) - flow.count(WILDCARD)
+        totals.append(full.bit_count() - row.bit_count() - own)
+    return totals
 
 
 def vectorize_msa(log: EventLog) -> EventLog:
@@ -227,13 +221,7 @@ def vectorize_msa(log: EventLog) -> EventLog:
     counts = variants(log)
     order = sorted(counts, key=lambda flow: (-counts[flow], flow))
 
-    totals = [0] * len(order)
-    for x, flow in enumerate(order):
-        masks, length = _symbol_masks(flow), len(flow)
-        for y in range(x + 1, len(order)):
-            score = _lcs_length(masks, length, order[y])
-            totals[x] += score
-            totals[y] += score
+    totals = _match_totals(order)
     center = max(range(len(order)), key=lambda v: (totals[v], -v))
 
     profile = [_Column(center, symbol) for symbol in order[center]]

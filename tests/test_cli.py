@@ -5,6 +5,7 @@ import pytest
 from pmdg import Event, read_log_csv, validate_k, vectorize_msa
 from pmdg.cli import main, run_pipeline
 from pmdg.logio import load_config
+from pmdg.vectorize import STRATEGIES
 
 CLINIC_CSV = (
     "case,activity,role\n"
@@ -497,3 +498,32 @@ def test_run_pipeline_builds_no_event(workdir, monkeypatch):
     assert outputs[0] == outputs[1]
     Event("A")  # the count sees a construction
     assert len(built) == 1
+
+
+def test_run_pipeline_refuses_unwritable_log_before_any_stage(workdir, monkeypatch, capsys):
+    # An XES attribute named ``case`` cannot become a CSV column, so the
+    # run stops right after the read: nothing is vectorized or written.
+    xes = CLINIC_XES.replace(
+        '<string key="role"', '<string key="case" value="x"/><string key="role"'
+    )
+    (workdir / "log.xes").write_text(xes, encoding="utf-8")
+    vectorized, msa = [], STRATEGIES["msa"]
+
+    def recorded(log):
+        vectorized.append(log)
+        return msa(log)
+
+    monkeypatch.setitem(STRATEGIES, "msa", recorded)
+    out = workdir / "anon.csv"
+    code = main([
+        "anonymize", "--config", str(workdir / "config.yaml"),
+        "--in", str(workdir / "log.xes"), "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"pmdg: data error: cannot write {out}: attribute 'case' names a key column\n"
+    )
+    assert vectorized == [] and not out.exists()
+    # Without an output file the log needs no CSV form, and the run goes on.
+    run_pipeline(load_config(workdir / "config.yaml"), str(workdir / "log.xes"))
+    assert len(vectorized) == 1

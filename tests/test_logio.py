@@ -364,12 +364,15 @@ csv:
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {attribute_columns: [role, case]}\n",
         'k: 2\nactivity_hierarchies: [a.csv]\n'
         'csv: {case_column: "Caf\\u00e9", activity_column: "Cafe\\u0301"}\n',
+        'k: 2\nactivity_hierarchies: [a.csv]\ncsv: {delimiter: ";;"}\n',
+        "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {attribute_columns: [role, role]}\n",
     ],
 )
 def test_load_config_rejects_invalid(tmp_path, snippet):
     path = write(tmp_path / "bad.yaml", snippet)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as raised:
         load_config(path)
+    assert str(raised.value).startswith(f"{path}: ")
 
 
 def test_load_config_rejects_weight_beyond_float_range(tmp_path):

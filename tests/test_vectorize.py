@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmdg import (
     WILDCARD,
@@ -15,7 +17,7 @@ from pmdg import (
     vectorize_msa,
     vectorize_naive,
 )
-from pmdg.vectorize import _lcs_length, _symbol_masks
+from pmdg.vectorize import _match_totals
 
 from helpers import (
     all_alignments,
@@ -79,27 +81,26 @@ def test_two_trace_msa_matches_pairwise_oracle():
     assert _two_trace_msa(("A",), ("B",)) == (("A",), ("B",))
 
 
-def test_center_score_matches_oracle():
-    # The bit-parallel scorer behind MSA center selection must return the
-    # optimal pairwise match count.  Lengths reach 80, so masks often
-    # exceed 64 bits; either side may be empty.
-    rng = random.Random(11)
-    alphabet = ["A", "B", "C", WILDCARD]
-    longest = empty = 0
-    for _ in range(2000):
-        a, b = (
-            tuple(
-                rng.choice(alphabet)
-                for _ in range(rng.randint(0, rng.choice((6, 12, 80))))
-            )
-            for _ in range(2)
-        )
-        matches = oracle_best_pairwise(a, b)[0]
-        assert _lcs_length(_symbol_masks(a), len(a), b) == matches
-        assert _lcs_length(_symbol_masks(b), len(b), a) == matches
-        longest = max(longest, len(a), len(b))
-        empty += not a or not b
-    assert longest > 64 and empty > 0
+_SYMBOLS = st.sampled_from(["A", "B", "C", WILDCARD])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.lists(_SYMBOLS, max_size=8).map(tuple), min_size=1, max_size=6),
+    st.lists(st.lists(_SYMBOLS, min_size=65, max_size=80).map(tuple), max_size=1),
+)
+@example([()], [])
+@example([("A",), (WILDCARD,), (WILDCARD, WILDCARD), ()], [])
+@example([("B",), (WILDCARD,) * 3], [("A", "B") * 33])
+def test_center_score_matches_oracle(short, long):
+    # The packed scorer behind MSA center selection must return, for each
+    # variant, the sum of its optimal pairwise match counts against the
+    # others.  A flow over 64 symbols makes its lane cross a machine word.
+    order = short + long
+    assert _match_totals(order) == [
+        sum(oracle_best_pairwise(a, b)[0] for y, b in enumerate(order) if y != x)
+        for x, a in enumerate(order)
+    ]
 
 
 def _golden_log(seed):
