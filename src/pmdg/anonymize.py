@@ -73,13 +73,16 @@ def satisfies(
 def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) -> int:
     """Phase 1: the smallest activity level whose control-flow classes
     all reach size k.  Raises :class:`InsufficientTraces` if the log has
-    fewer than k traces (no level can help then)."""
+    fewer than k traces (no level can help then).  When only the top level
+    (every activity ``⋆``) reaches k, logs a warning with the number of
+    traces in classes below k one level lower."""
     if len(log.traces) < k:
         raise InsufficientTraces(
             f"log has {len(log.traces)} traces, cannot form classes of size {k}"
         )
     flows = Counter(control_flow(trace) for trace in log.traces)
-    hit = _first_hit([_levels(activity_hierarchy, flows)], list(flows.values()), k)
+    levels = _levels(activity_hierarchy, flows)
+    hit = _first_hit([levels], list(flows.values()), k)
     if hit is None:
         # Generalization never changes trace lengths, so a length that occurs
         # fewer than k times can never be hidden; only re-vectorizing helps.
@@ -87,7 +90,18 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
             f"some trace lengths occur fewer than {k} times; vectorize the log "
             "to a uniform length first"
         )
-    return hit[0][0]
+    level = hit[0][0]
+    if level == activity_hierarchy.depth:
+        sizes: Counter[int] = Counter()
+        for flow, count in zip(levels[level - 1], flows.values()):
+            sizes[flow] += count
+        logger.warning(
+            "activity hierarchy exhausted: k=%d holds only with every activity "
+            "generalized to the wildcard; control-flow classes below k hold %d "
+            "traces at level %d",
+            k, sum(size for size in sizes.values() if size < k), level - 1,
+        )
+    return level
 
 
 def _ascending_vectors(depths: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -144,6 +158,19 @@ def _levels(hierarchy: Hierarchy, sequences: Iterable[tuple]) -> list[list[int]]
     return [_interned(hierarchy.images(sequences, level)) for level in levels]
 
 
+def _masked_levels(
+    hierarchy: Hierarchy, flows: Sequence[tuple], columns: Sequence[tuple]
+) -> list[list[int]]:
+    """Each row's column, masked by its frozen flow, interned at every
+    level of the hierarchy.  Each distinct (flow, column) pair is masked
+    and looked up once; masking comes first, on the raw values, since
+    every level maps ``⋆`` to itself."""
+    pairs: dict[tuple, int] = {}
+    ids = [pairs.setdefault(pair, len(pairs)) for pair in zip(flows, columns)]
+    levels = _levels(hierarchy, [_mask(flow, column) for flow, column in pairs])
+    return [[level[i] for i in ids] for level in levels]
+
+
 def search(
     log: EventLog,
     activity_hierarchy: Hierarchy,
@@ -170,19 +197,19 @@ def search(
     if missing:
         raise ValueError(f"no hierarchy for selected attributes: {missing}")
 
-    for attr in selected:
-        values = dict.fromkeys(chain.from_iterable(t.columns[attr] for t in log.traces))
+    for attr in selected:  # each value once, in first-seen order over distinct columns
+        columns = (t.columns[attr] for t in log.traces)
+        values = dict.fromkeys(chain.from_iterable(dict.fromkeys(columns)))
         list(map(attribute_hierarchies[attr].lookup(0).__getitem__, values))
     activity_level = search_control_flow(log, activity_hierarchy, k)
 
-    # Phase 2.  A row is masked once, on its raw values, since every
-    # level maps ``⋆`` to itself.
+    # Phase 2, over the distinct raw signatures.
     rows = Counter(trace_signature(trace, selected) for trace in log.traces)
     flows = list(activity_hierarchy.images((flow for flow, _ in rows), activity_level))
     columns = [[_interned(flows)]]
     for position, attr in enumerate(selected):
-        raw = [_mask(flow, values[position][1]) for flow, (_, values) in zip(flows, rows)]
-        columns.append(_levels(attribute_hierarchies[attr], raw))
+        raw = [values[position][1] for _, values in rows]
+        columns.append(_masked_levels(attribute_hierarchies[attr], flows, raw))
     hit = _first_hit(columns, list(rows.values()), k)
     if hit is None:  # the top node's classes are phase 1's, which reach k
         raise AssertionError("internal error: no lattice node satisfies k")

@@ -30,7 +30,7 @@ from .errors import (
     NonFunctionalLevel,
     UnknownValue,
 )
-from .model import MISSING, WILDCARD, EventLog, Trace, _Memo, _nfc
+from .model import MISSING, WILDCARD, EventLog, Trace, _map_bodies, _Memo, _nfc
 
 
 @dataclass(frozen=True)
@@ -247,12 +247,13 @@ def apply_to_log(
     their ``origin_index``; inserted wildcard events (all ``⋆``) come out
     as they went in.
 
-    Each distinct column is generalized once, by one ``map`` through the
-    level's table, before any masking, so an unknown value raises
-    :class:`~pmdg.errors.UnknownValue` wherever it stands: the first in
-    the first trace that holds one, its activities read before its
-    attribute columns in schema order.  Equal image columns share one
-    tuple.
+    Each distinct trace body is generalized once, and each distinct column
+    by one ``map`` through the level's table, before any masking, so an
+    unknown value raises :class:`~pmdg.errors.UnknownValue` wherever it
+    stands: the first in the first trace that holds one, its activities
+    read before its attribute columns in schema order.  Equal image
+    columns share one tuple, and equal image bodies one image trace,
+    renamed, so the result holds one ``columns`` mapping per distinct body.
     """
     attribute_hierarchies = attribute_hierarchies or {}
     for attr in levels.attribute_levels:
@@ -276,9 +277,15 @@ def apply_to_log(
 
     flows = _Memo(lambda flow: share(tuple(map(activities, flow))))
     images = _Memo(image)  # (attribute, image flow, column) -> image column
-    traces = []
-    for trace in log.traces:
+    built: dict[tuple, Trace] = {}  # image body -> its first image trace
+
+    def build(trace: Trace) -> Trace:
         flow = flows[trace.activities]
         columns = {attr: images[attr, flow, trace.columns[attr]] for attr in log.schema}
-        traces.append(Trace.from_columns(trace.case_id, flow, columns, trace.origins))
-    return EventLog(schema=log.schema, traces=tuple(traces))
+        body = (flow, trace.origins, *columns.values())
+        if (first := built.get(body)) is not None:
+            return first._renamed(trace.case_id)
+        first = built[body] = Trace._checked(trace.case_id, flow, columns, trace.origins)
+        return first
+
+    return _map_bodies(log, build)

@@ -29,6 +29,7 @@ leading UTF-8 byte-order mark; the writer writes none.
 from __future__ import annotations
 
 import csv
+import io
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -185,10 +186,13 @@ def read_log_csv(
 
 def _written_attributes(log: EventLog, path: str | Path, spec: LogCsvSpec) -> tuple[str, ...]:
     """The attribute columns of ``log`` written to ``path``, or :class:`DataError`
-    for one named like a key column (an XES key ``case``, say)."""
+    for one named like a key column (an XES key ``case``, say) or one the
+    log lacks in NFC form (an XES file without it, say)."""
     names = spec.attribute_columns or log.schema
     if (clash := spec._key_clash(names)) is not None:
         raise DataError(f"cannot write {path}: attribute {clash!r} names a key column")
+    if (absent := next((n for n in names if _nfc(n) not in log.schema), None)) is not None:
+        raise DataError(f"cannot write {path}: log has no attribute {absent!r}")
     return names
 
 
@@ -207,23 +211,50 @@ def write_log_csv(
     event.  Its column survives, so handover precision of a re-read log
     needs the vectorized original, which is matched by column.
 
-    Each trace is written as its columns zipped into rows.  An attribute
-    named like a key column would make the file unreadable, so it raises
-    :class:`DataError` before the file is created.
+    A trace is written as its columns zipped into rows, unless it shares
+    its ``columns`` mapping, and so its body, with an earlier trace (as in
+    a log that vectorization or generalization built; see
+    :mod:`pmdg.model`).  At a body's second sight its rows are rendered
+    once, each behind an empty field, through a writer of the same
+    dialect; that trace and every later one with the body are written as
+    their rendered case id in front of each of those rows.  A record of
+    two fields or more renders each field on its own, so the bytes are
+    the same either way.  An attribute named like a key column would make
+    the file unreadable, and one the log lacks cannot be written, so both
+    raise :class:`DataError` before the file is created.
     """
     spec = spec or LogCsvSpec()
     names = _written_attributes(log, path, spec)
     header = [spec.case_column, spec.activity_column, *names]
+    keys = tuple(map(_nfc, names))  # the log's attribute names are NFC
     render = _Memo(lambda cell: wildcard if cell == WILDCARD else cell).__getitem__
+    text = io.StringIO()
+    lines = csv.writer(text, delimiter=spec.delimiter, lineterminator="\n")
+
+    def rendered(row: Sequence[str]) -> str:
+        text.seek(0)
+        text.truncate()
+        lines.writerow(row)
+        return text.getvalue()
+
+    first_of: dict[int, int] = {}  # id of a columns mapping -> position of its first trace
+    rows_of: dict[int, list[str]] = {}  # that position -> "" and the body's rows
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, delimiter=spec.delimiter, lineterminator="\n")
             writer.writerow(header)
-            for trace in log.traces:
-                columns = [trace.activities, *map(trace.columns.__getitem__, names)]
-                if wildcard != WILDCARD:
-                    columns = [tuple(map(render, column)) for column in columns]
-                writer.writerows(zip(repeat(trace.case_id), *columns))
+            for position, trace in enumerate(log.traces):
+                first = first_of.setdefault(id(trace.columns), position)
+                if first == position or first not in rows_of:
+                    columns = [trace.activities, *map(trace.columns.__getitem__, keys)]
+                    if wildcard != WILDCARD:
+                        columns = [tuple(map(render, column)) for column in columns]
+                    if first == position:  # first sight
+                        writer.writerows(zip(repeat(trace.case_id), *columns))
+                        continue
+                    rows_of[first] = ["", *map(rendered, zip(repeat(""), *columns))]
+                # The case id's field: drop the delimiter and the line end.
+                handle.write(rendered((trace.case_id, ""))[:-2].join(rows_of[first]))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

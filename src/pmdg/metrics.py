@@ -24,19 +24,22 @@ Two views of how much analysis value survives anonymization:
 Generalized events are matched to their originals by column, or by
 order among the non-padding events when the original is the narrower
 pre-vectorization log (see :func:`_handovers`); a case or event count
-that cannot be matched raises :class:`LinkageBroken`.
+that cannot be matched raises :class:`LinkageBroken`.  Cases are matched
+one by one, but the events of each distinct (original, image) pair of
+trace bodies are paired once and weighted by its number of cases.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import IoFailure, LinkageBroken, UnknownAttribute
 from .hierarchy import Hierarchy
-from .model import WILDCARD, EventLog, variants
+from .model import WILDCARD, EventLog, Trace, variants
 
 
 def remaining_variants(log: EventLog) -> int:
@@ -103,9 +106,9 @@ def handover_preservation(pair: HandoverPair, hierarchy: Hierarchy) -> float:
     ) / 2.0
 
 
-def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Iterator[tuple]:
+def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Counter[tuple]:
     """Pair up every consecutive-event handover of the original log with
-    its image in the anonymized log, as ``(o1, o2, g1, g2)`` tuples.
+    its image in the anonymized log, and count each ``(o1, o2, g1, g2)``.
 
     Cases are matched by id and events by column.  When the original
     trace is as wide as its image (the vectorized log, or a trace that
@@ -116,28 +119,56 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Iter
     log against the in-memory anonymized log, where masked events keep
     their ``origin_index`` and so are not padding.
 
-    Raises :class:`LinkageBroken` when a case is missing or the event
-    counts differ — e.g. a pre-vectorization log against a re-read file,
-    where fully masked events came back as padding.
+    Traces share a ``columns`` mapping only when they share a body (see
+    :mod:`pmdg.model`), so the events of each distinct pair of original
+    and image mappings are paired once, at its first case, and its
+    handovers count once per case.
+
+    Raises :class:`LinkageBroken`, in log order, when a case is missing
+    or the event counts differ — e.g. a pre-vectorization log against a
+    re-read file, where fully masked events came back as padding.
     """
     if attribute not in original.schema:
         raise UnknownAttribute(f"original log has no attribute {attribute!r}")
     if attribute not in anonymized.schema:
         raise UnknownAttribute(f"anonymized log has no attribute {attribute!r}")
     images = {trace.case_id: trace for trace in anonymized.traces}
-    for trace in original.traces:
-        image = images.get(trace.case_id)
-        if image is None:
-            raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
-        shown = trace.real if len(image) == len(trace) else image.real
-        if len(trace.real) != len(shown):
-            raise LinkageBroken(
-                f"case {trace.case_id!r}: {len(trace.real)} original events but "
-                f"{len(shown)} non-padding events in the anonymized log"
-            )
-        before = _at(trace.columns[attribute], trace.real)
-        after = _at(image.columns[attribute], shown)
-        yield from zip(before, before[1:], after, after[1:])
+    # The ids of a case's and its image's columns mapping -> the first such
+    # case, and the number of later ones.
+    firsts: dict[tuple[int, int], Trace] = {}
+    repeats: Counter[tuple[int, int]] = Counter()
+
+    def first_sights() -> Iterator[Iterator[tuple]]:
+        for trace in original.traces:
+            image = images.get(trace.case_id)
+            if image is None:
+                raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
+            key = (id(trace.columns), id(image.columns))
+            if key in firsts:
+                repeats[key] += 1
+            else:
+                firsts[key] = trace
+                yield _paired(trace, image, attribute)
+
+    counts = Counter(chain.from_iterable(first_sights()))
+    for key, cases in repeats.items():
+        trace = firsts[key]
+        for handover in _paired(trace, images[trace.case_id], attribute):
+            counts[handover] += cases
+    return counts
+
+
+def _paired(trace: Trace, image: Trace, attribute: str) -> Iterator[tuple]:
+    """The handovers of one case with their images (see :func:`_handovers`)."""
+    real = trace.real
+    shown = real if len(image.activities) == len(trace.activities) else image.real
+    if len(real) != len(shown):
+        raise LinkageBroken(
+            f"case {trace.case_id!r}: {len(real)} original events but "
+            f"{len(shown)} non-padding events in the anonymized log"
+        )
+    before, after = _at(trace.columns[attribute], real), _at(image.columns[attribute], shown)
+    return zip(before, before[1:], after, after[1:])
 
 
 def handover_precision(
@@ -158,7 +189,7 @@ def handover_precision(
     """
     if aggregate not in ("occurrences", "pairs"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    counts = Counter(_handovers(original, anonymized, attribute))
+    counts = _handovers(original, anonymized, attribute)
     if not counts:
         return 100.0
     # Score each distinct endpoint once; sum in ``sorted(HandoverPair)`` order.

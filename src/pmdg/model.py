@@ -23,6 +23,16 @@ are decided once, on first use.  Every pass of the pipeline reads these
 columns.  ``Trace.events`` is a view for library callers, built on first
 use, so reading, generalizing and writing a log builds no ``Event``.
 
+A trace's *body* is everything but its case id: the activity, origin and
+attribute columns.  Cases often repeat a body, and an anonymized log is
+made of classes of at least k cases with one body each, so the passes
+after the read do their work once per distinct body: the first case with
+a body is built and checked as usual, and every later one is that trace
+renamed, sharing its columns.  Any other construction gives a trace a
+``columns`` mapping of its own, so traces that share one share a body: a
+pass over a log that vectorization or generalization built can
+recognize a repeated body by the identity of its mapping.
+
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare
 equal when they should; :meth:`Trace.from_columns` takes its cells as
@@ -151,13 +161,20 @@ class Trace:
         """The trace with these columns (``origins`` default to none).
         Attribute names and cells must be NFC already, as the readers and
         hierarchy tables hand them over; the case id is normalized."""
-        trace = cls.__new__(cls)
-        trace._fill(
+        return cls._checked(
             case_id,
             tuple(activities),
             {key: tuple(column) for key, column in columns.items()},
             (None,) * len(activities) if origins is None else tuple(origins),
         )
+
+    @classmethod
+    def _checked(cls, case_id: str, activities: tuple, columns: dict,
+                 origins: tuple) -> "Trace":
+        """:meth:`from_columns` without the copies: tuples, in a dict the
+        trace may keep."""
+        trace = cls.__new__(cls)
+        trace._fill(case_id, activities, columns, origins)
         return trace
 
     def _fill(self, case_id: str, activities: tuple, columns: dict, origins: tuple) -> None:
@@ -171,10 +188,27 @@ class Trace:
                 f"in trace {case_id!r}"
             )
         columns = MappingProxyType(columns) if width else _NO_COLUMNS
-        for name, value in zip(self.__slots__, (
-            _nfc(case_id), activities, origins, columns, None, None
-        )):
-            object.__setattr__(self, name, value)
+        self._set(_nfc(case_id), activities, origins, columns, None)
+
+    def _set(self, case_id: str, activities: tuple, origins: tuple,
+             columns: Mapping[str, tuple[str, ...]], real: Sequence[int] | None) -> None:
+        """Set every slot of the frozen instance, unchecked; ``events`` is
+        built on first use."""
+        set_slot = object.__setattr__
+        set_slot(self, "case_id", case_id)
+        set_slot(self, "activities", activities)
+        set_slot(self, "origins", origins)
+        set_slot(self, "columns", columns)
+        set_slot(self, "_real", real)
+        set_slot(self, "_events", None)
+
+    def _renamed(self, case_id: str) -> "Trace":
+        """This trace under another case id, sharing its content (the
+        ``columns`` mapping included, and ``real`` if known), which was
+        checked when this trace was built."""
+        trace = Trace.__new__(Trace)
+        trace._set(_nfc(case_id), self.activities, self.origins, self.columns, self._real)
+        return trace
 
     @property
     def real(self) -> Sequence[int]:
@@ -239,6 +273,23 @@ class EventLog:
 
     def __iter__(self) -> Iterator[Trace]:
         return iter(self.traces)
+
+
+def _map_bodies(log: EventLog, build: Callable[[Trace], Trace]) -> EventLog:
+    """``log`` with each trace replaced by ``build(trace)``, called once per
+    distinct body (keyed by its columns in schema order, since equal
+    attribute mappings may list their keys in different orders); every
+    later trace with that body gets the result under its own case id."""
+    schema = log.schema
+    first_of: dict[tuple, int] = {}  # body -> the position of its first trace
+    traces: list[Trace] = []
+    for position, trace in enumerate(log.traces):
+        body = (trace.activities, trace.origins, *map(trace.columns.__getitem__, schema))
+        first = first_of.setdefault(body, position)
+        traces.append(
+            build(trace) if first == position else traces[first]._renamed(trace.case_id)
+        )
+    return EventLog(schema=log.schema, traces=tuple(traces))
 
 
 @dataclass(frozen=True)

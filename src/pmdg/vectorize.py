@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import EmptyLog
-from .model import WILDCARD, EventLog, Trace, _Memo, variants
+from .model import WILDCARD, EventLog, Trace, _map_bodies, _Memo, variants
 
 # Traceback move codes.
 _DIAG, _UP, _LEFT = 0, 1, 2
@@ -95,23 +95,25 @@ def _gather(slots: Sequence[int], width: int) -> Callable[[tuple], tuple]:
 
 def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) -> EventLog:
     """Spread each trace's columns by ``gather_of(trace)`` (see
-    :func:`_gather`), filling the other columns with wildcard padding.
-    A real event without an origin gets its position in the input trace."""
+    :func:`_gather`), filling the other columns with wildcard padding,
+    once per distinct trace body.  A real event without an origin gets its
+    position in the input trace."""
     # (spread, column, filler) -> the output column, once per distinct key
     placed = _Memo(lambda key: key[0]((*key[1], key[2])))
-    traces = []
-    for trace in log.traces:
+
+    def build(trace: Trace) -> Trace:
         spread, origins = gather_of(trace), trace.origins
         if None in origins:
             real = set(trace.real)
             origins = tuple(p if o is None and p in real else o for p, o in enumerate(origins))
-        traces.append(Trace.from_columns(
+        return Trace._checked(
             trace.case_id,
             placed[spread, trace.activities, WILDCARD],
             {attr: placed[spread, trace.columns[attr], WILDCARD] for attr in log.schema},
             placed[spread, origins, None],
-        ))
-    return EventLog(schema=log.schema, traces=tuple(traces))
+        )
+
+    return _map_bodies(log, build)
 
 
 def vectorize_naive(log: EventLog) -> EventLog:
@@ -120,7 +122,7 @@ def vectorize_naive(log: EventLog) -> EventLog:
         raise EmptyLog("cannot vectorize an empty log")
     width = max(len(trace) for trace in log.traces)
     gathers = {n: _gather(range(n), width) for n in set(map(len, log.traces))}
-    return _place(log, width, lambda trace: gathers[len(trace)])
+    return _place(log, width, lambda trace: gathers[len(trace.activities)])
 
 
 def _align_to_profile(

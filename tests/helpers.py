@@ -8,6 +8,7 @@ independent grouping logic) rather than calling the code under test.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 import unicodedata
@@ -23,6 +24,7 @@ from pmdg import (
     Hierarchy,
     IoFailure,
     LevelVector,
+    LogCsvSpec,
     MalformedXml,
     MissingConceptName,
     Trace,
@@ -180,6 +182,32 @@ def random_instance(rng: random.Random, attrs: int = 2, depth: int = 3, **log_kw
     return log, activity, attribute_hierarchies
 
 
+def repeated_bodies(rng: random.Random, log: EventLog) -> EventLog:
+    """``log`` with one or two copies of some traces under new case ids,
+    shuffled in; a copy lists each event's attributes in reverse order."""
+    copies = [
+        Trace(f"{trace.case_id}~{n}", tuple(
+            Event(e.activity, dict(reversed(e.attributes.items())), e.origin_index)
+            for e in trace.events
+        ))
+        for trace in rng.sample(log.traces, rng.randint(0, len(log.traces)))
+        for n in range(1, rng.randint(2, 3))
+    ]
+    traces = list(log.traces) + copies
+    rng.shuffle(traces)
+    return EventLog(log.schema, tuple(traces))
+
+
+def one_mapping_per_body(log: EventLog) -> bool:
+    """Do the traces hold one ``columns`` mapping per distinct body?  (A
+    mapping always belongs to one body.)"""
+    bodies = {
+        (t.activities, t.origins, *(t.columns[name] for name in log.schema))
+        for t in log.traces
+    }
+    return len(bodies) == len({id(t.columns) for t in log.traces})
+
+
 def country_hierarchy() -> Hierarchy:
     """195 country leaves: 44 under Europe, China plus 150 others under Asia."""
     rows = [("Germany", "Europe", WILDCARD)]
@@ -259,6 +287,40 @@ def oracle_minimal_cost(vectorized, activity_level, activity_h, attr_hs, selecte
             if best is None or cost < best[0]:
                 best = (cost, combo)
     return best
+
+
+def oracle_handovers(original, anonymized, attribute):
+    """Every consecutive-event handover of the original log with its image,
+    as ``(o1, o2, g1, g2)`` tuples, one trace at a time and through the
+    ``Event`` view: an original event's image is the event in its column
+    when both traces are equally wide, otherwise the image's non-padding
+    events are taken in order.  Linkage faults are not checked."""
+    images = {trace.case_id: trace for trace in anonymized.traces}
+    for trace in original.traces:
+        image = images[trace.case_id]
+        real = [p for p, event in enumerate(trace.events) if not event.is_wildcard]
+        if len(image) == len(trace):
+            shown = [image.events[p] for p in real]
+        else:
+            shown = [event for event in image.events if not event.is_wildcard]
+        before = [trace.events[p].attributes[attribute] for p in real]
+        after = [event.attributes[attribute] for event in shown]
+        yield from zip(before, before[1:], after, after[1:])
+
+
+def oracle_write_csv(log, path, spec=None, wildcard=WILDCARD):
+    """``write_log_csv`` one trace at a time: its columns, wildcards
+    rendered, zipped into rows behind its case id."""
+    spec = spec or LogCsvSpec()
+    names = spec.attribute_columns or log.schema
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, delimiter=spec.delimiter, lineterminator="\n")
+        writer.writerow([spec.case_column, spec.activity_column, *names])
+        for trace in log.traces:
+            columns = [trace.activities, *(trace.columns[_nfc(name)] for name in names)]
+            columns = [[wildcard if cell == WILDCARD else cell for cell in column]
+                       for column in columns]
+            writer.writerows(zip(itertools.repeat(trace.case_id), *columns))
 
 
 def all_alignments(a, b):

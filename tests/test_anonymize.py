@@ -237,6 +237,22 @@ def test_search_warns_when_attribute_lattice_maxes_out(caplog):
     assert any("exhausted" in message for message in caplog.messages)
 
 
+def test_search_control_flow_warns_at_the_top_activity_level(caplog):
+    # Level 1 merges A and B but leaves the one C alone; only ``⋆`` hides it.
+    activity = Hierarchy.from_rows(
+        [("A", "AB", WILDCARD), ("B", "AB", WILDCARD), ("C", "C", WILDCARD)]
+    )
+    log = EventLog(schema=(), traces=tuple(
+        Trace.from_columns(str(i), [flow], {}) for i, flow in enumerate("AABC")
+    ))
+    with caplog.at_level(logging.WARNING, logger="pmdg.anonymize"):
+        assert search_control_flow(log, activity, 1) == 0
+        assert caplog.messages == []
+        assert search_control_flow(log, activity, 2) == 2
+    [message] = caplog.messages
+    assert "k=2" in message and "below k hold 1 traces at level 1" in message
+
+
 def test_search_rejects_unknown_selection():
     vectorized, activity, roles = clinic_setup()
     with pytest.raises(ValueError):

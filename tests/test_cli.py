@@ -500,13 +500,16 @@ def test_run_pipeline_builds_no_event(workdir, monkeypatch):
     assert len(built) == 1
 
 
-def test_run_pipeline_refuses_unwritable_log_before_any_stage(workdir, monkeypatch, capsys):
-    # An XES attribute named ``case`` cannot become a CSV column, so the
-    # run stops right after the read: nothing is vectorized or written.
-    xes = CLINIC_XES.replace(
-        '<string key="role"', '<string key="case" value="x"/><string key="role"'
-    )
+def _refuses_unwritable_log(workdir, monkeypatch, capsys, xes, columns, fault):
+    """``anonymize`` stops right after the read (nothing is vectorized or
+    written) and ``vectorize`` before it opens its output, both with exit
+    3; without an output file the run goes on."""
     (workdir / "log.xes").write_text(xes, encoding="utf-8")
+    if columns is not None:
+        (workdir / "config.yaml").write_text(
+            _config_text(workdir, extra=f"csv: {{attribute_columns: {columns}}}\n"),
+            encoding="utf-8",
+        )
     vectorized, msa = [], STRATEGIES["msa"]
 
     def recorded(log):
@@ -520,10 +523,32 @@ def test_run_pipeline_refuses_unwritable_log_before_any_stage(workdir, monkeypat
         "--in", str(workdir / "log.xes"), "--out", str(out),
     ])
     assert code == 3
-    assert capsys.readouterr().err == (
-        f"pmdg: data error: cannot write {out}: attribute 'case' names a key column\n"
-    )
+    assert capsys.readouterr().err == f"pmdg: data error: cannot write {out}: {fault}\n"
     assert vectorized == [] and not out.exists()
-    # Without an output file the log needs no CSV form, and the run goes on.
+    out = workdir / "vec.csv"
+    argv = ["vectorize", "--in", str(workdir / "log.xes"), "--out", str(out)]
+    if columns is not None:
+        argv += ["--columns", ",".join(columns)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"pmdg: data error: cannot write {out}: {fault}\n"
+    assert len(vectorized) == 1 and not out.exists()
     run_pipeline(load_config(workdir / "config.yaml"), str(workdir / "log.xes"))
-    assert len(vectorized) == 1
+    assert len(vectorized) == 2
+
+
+def test_run_pipeline_refuses_unwritable_log_before_any_stage(workdir, monkeypatch, capsys):
+    # An XES attribute named ``case`` cannot become a CSV column.
+    xes = CLINIC_XES.replace(
+        '<string key="role"', '<string key="case" value="x"/><string key="role"'
+    )
+    _refuses_unwritable_log(
+        workdir, monkeypatch, capsys, xes, None, "attribute 'case' names a key column"
+    )
+
+
+def test_run_pipeline_refuses_log_without_a_written_attribute(workdir, monkeypatch, capsys):
+    # A CSV column that the XES log lacks cannot be filled.
+    _refuses_unwritable_log(
+        workdir, monkeypatch, capsys, CLINIC_XES, ["role", "dept"],
+        "log has no attribute 'dept'",
+    )

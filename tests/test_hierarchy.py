@@ -24,9 +24,11 @@ from pmdg import (
 from helpers import (
     clinic_hierarchies,
     clinic_log,
+    one_mapping_per_body,
     oracle_generalize,
     random_hierarchy,
     random_instance,
+    repeated_bodies,
 )
 
 
@@ -345,7 +347,8 @@ def test_apply_to_log_matches_per_event_oracle():
                 ]
                 events.append(Event(event.activity, dict(items)))
             traces.append(Trace(trace.case_id, tuple(events)))
-        shuffled = EventLog(raw.schema, tuple(traces))
+        # Some cases repeat under new case ids, their dicts in reverse order.
+        shuffled = repeated_bodies(rng, EventLog(raw.schema, tuple(traces)))
         for log in (shuffled, vectorize_naive(shuffled)):
             for _ in range(5):
                 listed = rng.sample(sorted(attributes), rng.randint(0, len(attributes)))
@@ -354,4 +357,9 @@ def test_apply_to_log_matches_per_event_oracle():
                     {attr: rng.randint(0, attributes[attr].depth) for attr in listed},
                 )
                 expected = _oracle_apply(log, levels, activity, attributes)
-                assert apply_to_log(log, levels, activity, attributes) == expected
+                out = apply_to_log(log, levels, activity, attributes)
+                assert out == expected
+                assert one_mapping_per_body(out)
+            for trace, image in zip(log.traces, out.traces):
+                alone = EventLog(log.schema, (trace,))
+                assert (image,) == apply_to_log(alone, levels, activity, attributes).traces

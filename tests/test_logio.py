@@ -166,6 +166,25 @@ def test_write_log_csv_refuses_attribute_named_like_key_column(tmp_path, name, c
     assert not path.exists()
 
 
+def test_write_log_csv_refuses_attribute_the_log_lacks(tmp_path):
+    log = EventLog(schema=("role",), traces=(Trace("1", (Event("A", {"role": "x"}),)),))
+    path = tmp_path / "log.csv"
+    with pytest.raises(DataError, match="log has no attribute 'dept'"):
+        write_log_csv(log, path, LogCsvSpec(attribute_columns=("role", "dept")))
+    assert not path.exists()
+
+
+def test_write_log_csv_finds_attribute_columns_by_their_nfc_form(tmp_path):
+    # The reader keys the log on the NFC name; the header keeps the spelling.
+    path = write(tmp_path / "log.csv", "case,activity,Cafe\u0301\n1,A,x\n")
+    spec = LogCsvSpec(attribute_columns=("Cafe\u0301",))
+    log = read_log_csv(path, spec)
+    assert log.schema == ("Caf\u00e9",)
+    out = tmp_path / "out.csv"
+    write_log_csv(log, out, spec)
+    assert out.read_bytes() == path.read_bytes()
+
+
 XES = """<?xml version="1.0" encoding="UTF-8"?>
 <log xes.version="1.0" xmlns="http://www.xes-standard.org/">
   <trace>

@@ -31,7 +31,9 @@ from helpers import (
     clinic_hierarchies,
     clinic_log,
     country_hierarchy,
+    oracle_handovers,
     random_instance,
+    repeated_bodies,
 )
 
 
@@ -214,19 +216,20 @@ def test_handover_pairs_agree_on_all_input_forms(tmp_path):
         # against the in-memory result, and vectorized log against a CSV
         # re-read that lost the origins of fully masked events.
         forms = [
-            list(_handovers(log, result.anonymized, attr)),
-            list(_handovers(vectorized, result.anonymized, attr)),
-            list(_handovers(vectorized, reread, attr)),
+            _handovers(log, result.anonymized, attr),
+            _handovers(vectorized, result.anonymized, attr),
+            _handovers(vectorized, reread, attr),
         ]
         assert forms[0] == forms[1] == forms[2]
+        assert forms[0] == Counter(oracle_handovers(log, result.anonymized, attr))
 
 
 def _oracle_precision(original, anonymized, attribute, hierarchy, aggregate):
     """``handover_precision`` as one ``handover_preservation`` per pair, summed
-    in ``sorted`` order of the ``HandoverPair`` counts."""
+    in ``sorted`` order of the ``HandoverPair`` counts of a per-trace pairing."""
     counts = Counter(
         HandoverPair((o1, o2), (g1, g2))
-        for o1, o2, g1, g2 in _handovers(original, anonymized, attribute)
+        for o1, o2, g1, g2 in oracle_handovers(original, anonymized, attribute)
     )
     if not counts:
         return 100.0
@@ -243,6 +246,7 @@ def test_handover_precision_is_bit_identical_to_per_pair_oracle():
     rng = random.Random(61)
     for _ in range(200):
         log, activity, attr_hs = random_instance(rng, attrs=rng.randint(1, 3))
+        log = repeated_bodies(rng, log)  # pairs weighted by repeated cases
         vectorized = vectorize_msa(log)
         levels = LevelVector(
             rng.randint(0, activity.depth),

@@ -22,8 +22,10 @@ from pmdg.vectorize import _match_totals
 from helpers import (
     all_alignments,
     clinic_log,
+    one_mapping_per_body,
     oracle_best_pairwise,
     random_instance,
+    repeated_bodies,
 )
 
 
@@ -197,13 +199,19 @@ def test_vectorize_single_variant_log_keeps_values():
 
 def test_vectorize_properties_random():
     rng = random.Random(13)
-    for _ in range(25):
-        log, _, _ = random_instance(rng)
+    # Equal values() in swapped key orders: two bodies, not one.
+    swapped = EventLog(("x", "y"), (
+        Trace("s1", (Event("a", {"x": "1", "y": "2"}),)),
+        Trace("s2", (Event("a", {"y": "1", "x": "2"}),)),
+    ))
+    logs = [swapped] + [repeated_bodies(rng, random_instance(rng)[0]) for _ in range(25)]
+    for log in logs:
         longest = max(len(t) for t in log.traces)
         for strategy in (vectorize_naive, vectorize_msa):
             out = strategy(log)
             widths = {len(t) for t in out.traces}
             assert len(widths) == 1
+            assert one_mapping_per_body(out)
             assert widths.pop() >= longest
             assert [t.case_id for t in out.traces] == [t.case_id for t in log.traces]
             # Projection round-trip: padding out, values and order intact.
@@ -211,6 +219,11 @@ def test_vectorize_properties_random():
                 assert project(after) == project(before)
                 origins = [e.origin_index for e in after.events if not e.is_wildcard]
                 assert origins == list(range(len(before.events)))
+                # A repeated body's trace passes every check of a fresh build.
+                rebuilt = Trace.from_columns(
+                    after.case_id, after.activities, after.columns, after.origins
+                )
+                assert rebuilt == after and rebuilt.real == after.real
             # Identical control flows get identical padding patterns.
             patterns = {}
             for trace in out.traces:
