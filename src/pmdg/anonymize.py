@@ -16,13 +16,15 @@ in two phases that share one walk, :func:`_first_hit`:
    one-level perspective, then come the attributes, sorted by name.
 
 The walk tries level vectors by ascending cost, ties in lexicographic
-order, and the first satisfying node wins.  Generalizing further never
-splits an equivalence class (levels are monotone), so every node skipped
-on the way is genuinely unsatisfiable and nodes above a satisfiable one
-need no visit.  Each distinct row is weighted by its number of traces
-and holds interned ints, so a check counts tuples of ints.  The returned
-log is built once from the chosen vector, and the k requirement is
-re-checked on it before returning.
+order, and the first satisfying node wins.  It enumerates the vectors
+of each cost in turn, the first level running upward and the rest
+recursing, so the order holds by construction.  Generalizing further
+never splits an equivalence class (levels are monotone), so every node
+skipped on the way is genuinely unsatisfiable and nodes above a
+satisfiable one need no visit.  Each distinct row is weighted by its
+number of traces and holds interned ints, so a check counts tuples of
+ints.  The returned log is built once from the chosen vector, and the k
+requirement is re-checked on it before returning.
 """
 
 from __future__ import annotations
@@ -104,28 +106,25 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
     return level
 
 
+def _spread(depths: Sequence[int], cost: int) -> Iterator[tuple[int, ...]]:
+    """All level vectors bounded by ``depths`` that sum to ``cost``, in
+    lexicographic order: the first level runs upward over the values the
+    rest can make up to ``cost``, and the rest recurse."""
+    if not depths:
+        if cost == 0:
+            yield ()
+        return
+    rest = depths[1:]
+    for level in range(max(0, cost - sum(rest)), min(depths[0], cost) + 1):
+        for tail in _spread(rest, cost - level):
+            yield (level, *tail)
+
+
 def _ascending_vectors(depths: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All level vectors bounded by ``depths``, by ascending cost, ties in
-    lexicographic order: each raises the rightmost level it can by one,
-    paid for by the levels right of it, which then sit as far right as
-    they fit; when none can, the next cost starts from the right."""
-    levels = [0] * len(depths)
-    while True:
-        yield tuple(levels)
-        right = 0  # sum of the levels right of ``position``
-        for position in reversed(range(len(levels))):
-            if right and levels[position] < depths[position]:
-                levels[position] += 1
-                budget = right - 1
-                break
-            right += levels[position]
-        else:
-            position, budget = -1, right + 1
-            if budget > sum(depths):
-                return
-        for i in reversed(range(position + 1, len(levels))):
-            levels[i] = min(depths[i], budget)
-            budget -= levels[i]
+    lexicographic order."""
+    for cost in range(sum(depths) + 1):
+        yield from _spread(depths, cost)
 
 
 def _first_hit(

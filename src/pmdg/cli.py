@@ -44,7 +44,9 @@ from .logio import (
     write_log_csv,
 )
 from .metrics import export_dot, handover_graph, handover_precision, remaining_variants
-from .model import WILDCARD, EventLog, drop_singleton_variants, validate_k, variants
+from .model import (
+    WILDCARD, EventLog, _nfc, drop_singleton_variants, validate_k, variants,
+)
 from .selection import UTILITY_NOTIONS, select
 from .vectorize import STRATEGIES
 
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _log_command(commands, "select-hierarchy", "score candidate hierarchies against a log")
     p.add_argument(
-        "--perspective", required=True,
+        "--perspective", required=True, type=_nfc,
         help='attribute name, or "activity" for the control-flow perspective',
     )
     p.add_argument(
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _log_command(commands, "validate", "check k-anonymity of a log")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
-        "--attr", action="append", default=[],
+        "--attr", action="append", default=[], type=_nfc,
         help="quasi-identifier attribute (repeatable or comma-separated)",
     )
 
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _log_command(sub, "variants", "count remaining control-flow variants")
 
     p = _log_command(sub, "handover-graph", "export the handover-of-work graph")
-    p.add_argument("--attr", required=True)
+    p.add_argument("--attr", required=True, type=_nfc)
     p.add_argument("--dot", default=None, help="write DOT to this path")
 
     p = _log_command(
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the original (pre-anonymization) log",
     )
     p.add_argument("--anonymized", required=True)
-    p.add_argument("--attr", required=True)
+    p.add_argument("--attr", required=True, type=_nfc)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--aggregate", choices=("occurrences", "pairs"),
                    default="occurrences")

@@ -285,7 +285,7 @@ def apply_to_log(
         body = (flow, trace.origins, *columns.values())
         if (first := built.get(body)) is not None:
             return first._renamed(trace.case_id)
-        first = built[body] = Trace._checked(trace.case_id, flow, columns, trace.origins)
+        first = built[body] = Trace.from_columns(trace.case_id, flow, columns, trace.origins)
         return first
 
     return _map_bodies(log, build)

@@ -497,7 +497,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         isinstance(qi_raw, list) and all(isinstance(a, str) for a in qi_raw),
         f"{path}: quasi_identifiers must be a list of attribute names",
     )
-    quasi = tuple(qi_raw)
+    quasi = tuple(map(_nfc, qi_raw))  # as the readers store the header
 
     attr_raw = raw.get("attribute_hierarchies", {})
     _require(
@@ -505,9 +505,13 @@ def load_config(path: str | Path) -> PipelineConfig:
         f"{path}: attribute_hierarchies must map attribute names to file paths",
     )
     attr_hierarchies = {
-        name: _as_paths(paths, f"attribute_hierarchies[{name}]")
+        _nfc(name): _as_paths(paths, f"attribute_hierarchies[{name}]")
         for name, paths in attr_raw.items()
     }
+    _require(
+        len(attr_hierarchies) == len(attr_raw),
+        f"{path}: attribute_hierarchies names an attribute twice in two Unicode forms",
+    )
     for attr in quasi:
         _require(
             attr in attr_hierarchies,

@@ -161,20 +161,13 @@ class Trace:
         """The trace with these columns (``origins`` default to none).
         Attribute names and cells must be NFC already, as the readers and
         hierarchy tables hand them over; the case id is normalized."""
-        return cls._checked(
+        trace = cls.__new__(cls)
+        trace._fill(
             case_id,
             tuple(activities),
             {key: tuple(column) for key, column in columns.items()},
             (None,) * len(activities) if origins is None else tuple(origins),
         )
-
-    @classmethod
-    def _checked(cls, case_id: str, activities: tuple, columns: dict,
-                 origins: tuple) -> "Trace":
-        """:meth:`from_columns` without the copies: tuples, in a dict the
-        trace may keep."""
-        trace = cls.__new__(cls)
-        trace._fill(case_id, activities, columns, origins)
         return trace
 
     def _fill(self, case_id: str, activities: tuple, columns: dict, origins: tuple) -> None:

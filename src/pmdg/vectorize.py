@@ -37,6 +37,13 @@ columns:
 * Each profile column keeps a count per symbol of the members it holds,
   so a DP cell's gain is one dict lookup, and a merge updates the
   columns in place.  Progressive alignment costs O(V·L·W).
+* Aligning n symbols against m columns scores each DP cell as one int,
+  ``matches * scale + diagonal moves`` with ``scale = n + m + 1``.  A path
+  makes at most min(n, m) diagonal moves, fewer than ``scale``, so they
+  never carry into the match count: comparing two scores compares
+  matches first, then diagonal moves, and each diagonal move saves one of
+  the ``n + m`` columns.  The merged profile is built in the one backward
+  walk over the stored moves.
 
 Real events keep their identity through vectorization: each receives its
 position in the pre-vectorization trace as ``origin_index`` (preserving
@@ -106,7 +113,7 @@ def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) ->
         if None in origins:
             real = set(trace.real)
             origins = tuple(p if o is None and p in real else o for p, o in enumerate(origins))
-        return Trace._checked(
+        return Trace.from_columns(
             trace.case_id,
             placed[spread, trace.activities, WILDCARD],
             {attr: placed[spread, trace.columns[attr], WILDCARD] for attr in log.schema},
@@ -132,20 +139,22 @@ def _align_to_profile(
 
     Gaps already in the profile stay gaps; the new variant may add fresh
     columns, which appear as gaps for every earlier member.  The merge
-    reuses (and updates) the columns of ``profile``.
+    reuses (and updates) the columns of ``profile``.  A cell's score is
+    ``matches * scale + diagonal moves`` (see Cost above).
     """
     n, m = len(sequence), len(profile)
-    dp = [(0, 0)] * (m + 1)  # (matches, diagonal moves) per column
+    scale = n + m + 1
+    dp = [0] * (m + 1)
     back = [[_LEFT] * (m + 1)]  # row 0: no symbol placed, only _LEFT
     for symbol in sequence:
-        gains = [column.counts.get(symbol, 0) for column in profile]
+        # a _DIAG move's gain: its matches, scaled, and one diagonal move
+        gains = [column.counts.get(symbol, 0) * scale + 1 for column in profile]
         previous = dp
-        dp = [previous[0]] + [(0, 0)] * m  # column 0: only _UP
+        dp = [previous[0]] + [0] * m  # column 0: only _UP
         moves = [_UP] * (m + 1)
         for j in range(1, m + 1):
             best = previous[j]  # _UP: open a fresh column for symbol
-            matches, diagonals = previous[j - 1]
-            diag = (matches + gains[j - 1], diagonals + 1)
+            diag = previous[j - 1] + gains[j - 1]
             if diag > best:
                 best = diag
                 moves[j] = _DIAG
@@ -156,32 +165,21 @@ def _align_to_profile(
             dp[j] = best
         back.append(moves)
 
-    path: list[int] = []
+    merged: list[_Column] = []  # built backward, reversed at the end
     i, j = n, m
-    while i > 0 or j > 0:
+    while i or j:
         move = back[i][j]
-        path.append(move)
         if move == _DIAG:
             i, j = i - 1, j - 1
+            profile[j].add(member, sequence[i])
+            merged.append(profile[j])
         elif move == _UP:
             i -= 1
+            merged.append(_Column(member, sequence[i]))
         else:
             j -= 1
-
-    merged: list[_Column] = []
-    i = j = 0
-    for move in reversed(path):
-        if move == _DIAG:
-            column = profile[j]
-            column.add(member, sequence[i])
-            merged.append(column)
-            i, j = i + 1, j + 1
-        elif move == _LEFT:
             merged.append(profile[j])
-            j += 1
-        else:
-            merged.append(_Column(member, sequence[i]))
-            i += 1
+    merged.reverse()
     return merged
 
 

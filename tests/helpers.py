@@ -30,6 +30,7 @@ from pmdg import (
     Trace,
     UnknownValue,
 )
+from pmdg.vectorize import _Column
 
 
 def clinic_hierarchies() -> tuple[Hierarchy, Hierarchy, Hierarchy]:
@@ -366,6 +367,64 @@ def oracle_best_pairwise(a, b):
 
     matches, negative_columns = go(0, 0)
     return matches, -negative_columns
+
+
+def oracle_align_to_profile(profile, member, sequence):
+    """The tuple-scored profile alignment that ``vectorize._align_to_profile``
+    replaced: each DP cell is a ``(matches, diagonal moves)`` tuple, and
+    the merge replays the traceback path in a second, forward loop.  Same
+    move priority (``UP``, then ``DIAG`` if greater, then ``LEFT`` if
+    greater); kept as the differential reference for the int-scored DP."""
+    diag_move, up_move, left_move = 0, 1, 2
+    n, m = len(sequence), len(profile)
+    dp = [(0, 0)] * (m + 1)
+    back = [[left_move] * (m + 1)]
+    for symbol in sequence:
+        gains = [column.counts.get(symbol, 0) for column in profile]
+        previous = dp
+        dp = [previous[0]] + [(0, 0)] * m
+        moves = [up_move] * (m + 1)
+        for j in range(1, m + 1):
+            best = previous[j]
+            matches, diagonals = previous[j - 1]
+            diag = (matches + gains[j - 1], diagonals + 1)
+            if diag > best:
+                best = diag
+                moves[j] = diag_move
+            left = dp[j - 1]
+            if left > best:
+                best = left
+                moves[j] = left_move
+            dp[j] = best
+        back.append(moves)
+
+    path = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        move = back[i][j]
+        path.append(move)
+        if move == diag_move:
+            i, j = i - 1, j - 1
+        elif move == up_move:
+            i -= 1
+        else:
+            j -= 1
+
+    merged = []
+    i = j = 0
+    for move in reversed(path):
+        if move == diag_move:
+            column = profile[j]
+            column.add(member, sequence[i])
+            merged.append(column)
+            i, j = i + 1, j + 1
+        elif move == left_move:
+            merged.append(profile[j])
+            j += 1
+        else:
+            merged.append(_Column(member, sequence[i]))
+            i += 1
+    return merged
 
 
 def _nfc(text):

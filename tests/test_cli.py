@@ -217,6 +217,44 @@ def test_unicode_case_id_forms_are_one_case(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+NFD_ROLE = "role\u0301"  # "rolé" in decomposed form
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["anonymize", "--config", "{config}", "--in", "{log}", "--out", "{out}"], 0),
+        (["validate", "--in", "{log}", "--k", "1", "--attr", NFD_ROLE], 0),
+        (["metrics", "handover-graph", "--in", "{log}", "--attr", NFD_ROLE], 0),
+        (["metrics", "handover-precision", "--in", "{log}", "--anonymized", "{log}",
+          "--attr", NFD_ROLE, "--hierarchy", "{role}"], 0),
+        (["select-hierarchy", "--in", "{log}", "--perspective", NFD_ROLE,
+          "--candidates", "{role}"], 0),
+        # The two forms of one name, as two keys, would hide one hierarchy.
+        (["anonymize", "--config", "{both}", "--in", "{log}", "--out", "{out}"], 2),
+    ],
+    ids=["anonymize", "validate", "handover-graph", "handover-precision",
+         "select-hierarchy", "config-both-forms"],
+)
+def test_decomposed_attribute_name_matches_the_header(workdir, capsys, argv, expected):
+    # The readers store the header NFC-normalized; names from the config
+    # and the command line must be normalized the same way to match it.
+    (workdir / "log.csv").write_text(
+        CLINIC_CSV.replace("role", NFD_ROLE, 1), encoding="utf-8"
+    )
+    config = _config_text(workdir).replace("[role]", f"[{NFD_ROLE}]")
+    config = config.replace("  role:", f"  {NFD_ROLE}:")
+    (workdir / "config.yaml").write_text(config, encoding="utf-8")
+    both = config + f"  rol\u00e9: [{workdir / 'role.csv'}]\n"
+    (workdir / "both.yaml").write_text(both, encoding="utf-8")
+    paths = {"config": "config.yaml", "both": "both.yaml", "log": "log.csv",
+             "out": "out.csv", "role": "role.csv"}
+    argv = [arg.format(**{key: workdir / name for key, name in paths.items()})
+            for arg in argv]
+    assert main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_wildcard_literal_flag(workdir, tmp_path):
     vec = tmp_path / "vec.csv"
     assert main([

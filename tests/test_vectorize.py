@@ -17,12 +17,13 @@ from pmdg import (
     vectorize_msa,
     vectorize_naive,
 )
-from pmdg.vectorize import _match_totals
+from pmdg.vectorize import _align_to_profile, _Column, _match_totals
 
 from helpers import (
     all_alignments,
     clinic_log,
     one_mapping_per_body,
+    oracle_align_to_profile,
     oracle_best_pairwise,
     random_instance,
     repeated_bodies,
@@ -103,6 +104,25 @@ def test_center_score_matches_oracle(short, long):
         sum(oracle_best_pairwise(a, b)[0] for y, b in enumerate(order) if y != x)
         for x, a in enumerate(order)
     ]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.lists(st.sampled_from(["A", "B", "C", "D", WILDCARD]), max_size=8)
+                .map(tuple), min_size=1, max_size=8))
+@example([()])
+@example([(), ("A", "B"), (), (WILDCARD, "A")])
+@example([(WILDCARD,), (WILDCARD, WILDCARD), ("A",)])
+def test_profile_alignment_matches_tuple_scored_oracle(flows):
+    # Progressive alignment of the flows, the first as center, by the
+    # int-scored DP and by the tuple-scored one it replaced: each column
+    # must hold the same members and symbol counts.
+    def align(function):
+        profile = [_Column(0, symbol) for symbol in flows[0]]
+        for rank, flow in enumerate(flows[1:], start=1):
+            profile = function(profile, rank, flow)
+        return [(column.members, column.counts) for column in profile]
+
+    assert align(_align_to_profile) == align(oracle_align_to_profile)
 
 
 def _golden_log(seed):
