@@ -138,7 +138,9 @@ def run_pipeline(
 
     ``k`` overrides the configured threshold.  The anonymized log goes to
     ``output_path`` (CSV) and the manifest additionally to
-    ``report_path`` (JSON) when given.
+    ``report_path`` (JSON) when given.  The report is opened first, so
+    one that cannot be written raises :class:`IoFailure` before the log
+    file is made.
     """
     k = config.k if k is None else k
     if k < 1:
@@ -207,11 +209,25 @@ def run_pipeline(
 
     # Hash the input before writing, in case the output overwrites it.
     input_sha256 = _sha256_file(input_path)
+    # Open the report before the log is written: a report that cannot be
+    # written stops the run before it makes the log file.
+    report = None
+    if report_path is not None:
+        try:
+            report = open(report_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise IoFailure(f"cannot write {report_path}: {exc}") from exc
     if output_path is not None:
         started = time.perf_counter()
-        write_log_csv(
-            result.anonymized, output_path, config.csv, wildcard=config.wildcard
-        )
+        try:
+            write_log_csv(
+                result.anonymized, output_path, config.csv, wildcard=config.wildcard
+            )
+        except BaseException:
+            if report is not None:  # leave no empty report behind
+                report.close()
+                Path(report_path).unlink()
+            raise
         timings["write"] = time.perf_counter() - started
 
     histogram = Counter(result.class_sizes)
@@ -240,8 +256,10 @@ def run_pipeline(
         handover_precision=precision,
         timings_s=timings,
     )
-    if report_path is not None:
-        Path(report_path).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    if report is not None:
+        with report:
+            report.write(manifest.to_json() + "\n")
+            report.truncate()  # in case the log went to the same path
     return manifest
 
 

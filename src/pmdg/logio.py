@@ -16,14 +16,15 @@ padding once serialized — the one lossy corner of the format, flagged in
 
 Both log readers make one streaming pass straight into each trace's
 columns (see :class:`~pmdg.model.Trace`): CSV row by row, and XES through
-``pyexpat`` start and end handlers, with no element tree, so the file is
-never held whole and no ``Event`` is built.  Each distinct cell is
-canonicalized and NFC-normalized once per read, and every trace holding
-that value shares one string; equal columns share one tuple.  Case ids
-are grouped and deduplicated on their NFC form, so the two Unicode
-spellings of a name are one case id, and so are attribute names.  A log
-file without events raises :class:`EmptyLog`.  Both CSV readers skip a
-leading UTF-8 byte-order mark; the writer writes none.
+one pair of ``pyexpat`` handlers that build a trace's columns at its
+``</trace>``.  A read holds the log it builds and one trace's events,
+never the whole file, an element tree or an ``Event``.  Each distinct
+cell is canonicalized and NFC-normalized once per read, and every trace
+holding that value shares one string; equal columns share one tuple.
+Case ids are grouped and deduplicated on their NFC form, so the two
+Unicode spellings of a name are one case id, and so are attribute
+names.  A log file without events raises :class:`EmptyLog`.  Both CSV
+readers skip a leading UTF-8 byte-order mark; the writer writes none.
 """
 
 from __future__ import annotations
@@ -259,46 +260,60 @@ def write_log_csv(
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo) -> tuple[list, tuple]:
+def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo, share: _Memo) -> tuple:
     """The traces with events of an XES file, each as its NFC case id, its
-    activities and one ``{key: value}`` dict per event, and the NFC
+    activities and its columns for the keys seen by its end, and the NFC
     attribute keys in order of first sight.
 
-    ``pyexpat`` handlers track the depth: 1 is the root, 2 its children
-    (traces among them) and 3 a trace's children (its events and
-    ``<string>``s).  While an event is open a second pair of handlers
-    reads its attributes.  Element names arrive as ``namespace}local``.
+    One pair of ``pyexpat`` handlers tracks the depth: 1 is the root, 2
+    its children (traces among them), 3 a trace's children (its events
+    and ``<string>``s) and 4 an event's.  An event's ``{key: value}`` dict
+    lives until ``</trace>`` builds the trace's columns through ``share``;
+    element names arrive as ``namespace}local``.
     """
     local = _Memo(lambda name: name.rpartition("}")[2])
     schema = _Memo()
     keys = _Memo(lambda raw: schema[_nfc(raw)])
-    traces: list[tuple[str, list[str], list[dict[str, str]]]] = []
+    missing = cells[""]
+    traces: list[tuple[str, tuple[str, ...], dict[str, tuple[str, ...]]]] = []
     parser = expat.ParserCreate(None, "}")
-    depth = position = inner = 0
+    depth = position = 0
     case_id: str | None = None  # None outside a trace
     nameless: str | None = None  # the case id at the trace's first nameless event
     activities: list[str] = []
-    values: list[dict[str, str]] = []
-    event: dict[str, str] = {}
+    events: list[dict[str, str]] = []  # the open trace's named events
+    event: dict[str, str] | None = None  # None outside an event
     activity: str | None = None
 
     def start(element: str, attributes: dict[str, str]) -> None:
-        nonlocal depth, case_id, nameless, activities, values, event, activity
+        nonlocal depth, case_id, nameless, event, activity
         depth += 1
-        if depth == 3 and case_id is not None:
+        if depth == 4 and event is not None and local[element] == "string":
+            key = attributes.get("key")
+            if key == "concept:name":
+                activity = attributes.get("value", "")
+            elif key:
+                event[keys[key]] = cells[attributes.get("value", "")]
+        elif depth == 3 and case_id is not None:
             name = local[element]
             if name == "event":
                 event, activity = {}, None
-                parser.StartElementHandler, parser.EndElementHandler = event_start, event_end
             elif name == "string" and attributes.get("key") == "concept:name":
                 case_id = attributes.get("value", case_id)
         elif depth == 2 and local[element] == "trace":
-            case_id, nameless, activities, values = f"trace_{position}", None, [], []
+            case_id, nameless = f"trace_{position}", None
 
     def end(element: str) -> None:
-        nonlocal depth, position, case_id
+        nonlocal depth, position, case_id, nameless, event
         depth -= 1
-        if depth == 1:
+        if depth == 2 and event is not None:
+            if activity is not None:
+                activities.append(cells[activity])
+                events.append(event)
+            elif nameless is None:
+                nameless = case_id
+            event = None
+        elif depth == 1:
             position += 1
             if case_id is not None:
                 if nameless is not None:
@@ -306,31 +321,13 @@ def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo) -> tuple[list, 
                         f"{path}: event without concept:name in trace {nameless!r}"
                     )
                 if activities:
-                    traces.append((_nfc(case_id), activities, values))
+                    traces.append((_nfc(case_id), share[tuple(activities)], {
+                        key: share[tuple([values.get(key, missing) for values in events])]
+                        for key in schema
+                    }))
+                    activities.clear()
+                    events.clear()
                 case_id = None
-
-    def event_start(element: str, attributes: dict[str, str]) -> None:
-        nonlocal inner, activity
-        inner += 1
-        if inner == 1 and local[element] == "string":
-            key = attributes.get("key")
-            if key == "concept:name":
-                activity = attributes.get("value", "")
-            elif key:
-                event[keys[key]] = cells[attributes.get("value", "")]
-
-    def event_end(element: str) -> None:
-        nonlocal inner, depth, nameless
-        if inner:
-            inner -= 1
-            return
-        depth -= 1
-        if activity is not None:
-            activities.append(cells[activity])
-            values.append(event)
-        elif nameless is None:
-            nameless = case_id
-        parser.StartElementHandler, parser.EndElementHandler = start, end
 
     def skipped(entity: str, is_parameter_entity: bool) -> None:
         if not is_parameter_entity:  # ``ElementTree`` rejects it too
@@ -343,7 +340,7 @@ def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo) -> tuple[list, 
     finally:
         # The parser holds the handlers, which hold it and each other: break
         # that cycle so the parse state goes as soon as the read returns.
-        del parser, start, end, event_start, event_end
+        del parser, start, end
     return traces, tuple(schema)
 
 
@@ -362,13 +359,15 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     ``concept:name``, defaulting to ``trace_{n}`` for the root's n-th
     child element; a reused one gets the first free ``~2``, ``~3``, ...
     suffix that no trace in the file already uses.  Malformed or
-    truncated XML raises :class:`MalformedXml`.  ``pyexpat`` handlers
-    turn the file into columns as it is parsed; no element tree is built.
+    truncated XML raises :class:`MalformedXml`.  Each trace becomes columns
+    at its ``</trace>``; its suffix, which needs every case id, and one
+    shared all-``⊥`` column per key first seen after it wait for the end.
     """
     cells = _cells(wildcard)
+    share = _Memo()
     try:
         with open(path, "rb") as handle:
-            parsed, schema = _parse_xes(handle, path, cells)
+            parsed, schema = _parse_xes(handle, path, cells, share)
     except expat.ExpatError as exc:
         raise MalformedXml(f"{path}: {exc}") from exc
     except OSError as exc:
@@ -378,10 +377,9 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
 
     taken = {case_id for case_id, *_ in parsed}
     last_suffix: dict[str, int] = {}
-    missing = cells[""]
-    share = _Memo().__getitem__
     traces = []
-    for case_id, activities, values in parsed:
+    for position, (case_id, activities, columns) in enumerate(parsed):
+        parsed[position] = None  # the parse state goes as its trace is built
         if case_id in last_suffix:
             suffix = last_suffix[case_id] + 1
             while f"{case_id}~{suffix}" in taken:
@@ -390,13 +388,12 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
             case_id = f"{case_id}~{suffix}"
         else:
             last_suffix[case_id] = 1
-        columns = {
-            key: share(tuple([event.get(key, missing) for event in values]))
-            for key in schema
-        }
-        traces.append(Trace.from_columns(
-            case_id, share(tuple(activities)), columns, share(tuple(range(len(values))))
-        ))
+        width = len(activities)
+        for key in schema[len(columns):]:  # first seen after this trace
+            columns[key] = share[(cells[""],) * width]
+        traces.append(
+            Trace.from_columns(case_id, activities, columns, share[tuple(range(width))])
+        )
     return EventLog(schema=schema, traces=tuple(traces))
 
 

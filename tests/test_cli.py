@@ -133,6 +133,26 @@ def test_exit_codes(workdir, tmp_path):
     ]) == 5
 
 
+def test_unwritable_report_stops_the_run_before_the_log_is_written(workdir, capsys):
+    argv = ["anonymize", "--config", str(workdir / "config.yaml"),
+            "--in", str(workdir / "log.csv")]
+    out, report = workdir / "anon.csv", workdir / "no" / "run.json"
+    assert main(argv + ["--out", str(out), "--report", str(report)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"pmdg: i/o error: cannot write {report}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+    # A log that cannot be written leaves no empty report behind.
+    report = workdir / "run.json"
+    assert main(argv + ["--out", str(workdir / "no" / "anon.csv"),
+                        "--report", str(report)]) == 5
+    assert not report.exists()
+
+    # Given one path for both, the file holds the report, written last.
+    assert main(argv + ["--out", str(report), "--report", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["k"] == 2
+
+
 def test_validate_exit_codes(workdir, capsys):
     assert main([
         "validate", "--in", str(workdir / "log.csv"), "--k", "1", "--attr", "role",

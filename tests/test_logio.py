@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -292,6 +294,34 @@ def test_read_log_xes_header_elements_and_nested_traces(tmp_path):
     assert [t.case_id for t in log.traces] == ["trace_3", "trace_4"]
     assert [[e.activity for e in t] for t in log.traces] == [["A", "B"], ["C"]]
     assert log.traces[0].events[1].attributes == {"unit": MISSING, "role": "r1"}
+
+
+def test_read_log_xes_peak_memory_is_within_three_times_the_log(tmp_path):
+    # 3,000 events in traces of 20: an event's attributes may wait until
+    # its trace ends, but not until the file does.
+    rng = random.Random(3)
+    event = (
+        '<event><string key="concept:name" value="a{}"/><string key="clerk" value="c{}"/>'
+        '<string key="site" value="s{}"/><date key="time:timestamp" value="2024-01-01"/></event>'
+    )
+    path = write(tmp_path / "long.xes", "<log>{}</log>".format("".join(
+        f'<trace><string key="concept:name" value="t{i}"/>'
+        + "".join(event.format(rng.randrange(30), rng.randrange(200), rng.randrange(20))
+                  for _ in range(20))
+        + "</trace>"
+        for i in range(150)
+    )))
+    read_log_xes(path)  # imports and interpreter caches come first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = read_log_xes(path)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, log.traces)) == 3000
+    assert peak <= 3 * held
 
 
 def test_read_hierarchy(tmp_path):

@@ -331,6 +331,24 @@ TWO_FORMS_OF_A_KEY = (
     b'<string key="concept:name" value="a"/><string key="e&#x301;" value="2"/>'
     b"</event></trace></log>"
 )
+_A, _B = b'<string key="concept:name" value="a"/>', b'<string key="concept:name" value="b"/>'
+KEY_IN_THIRD_TRACE = (
+    b"<log><trace><event>" + _A + b'<string key="role" value="x"/></event></trace>'
+    b"<trace><event>" + _B + b"</event></trace>"
+    b"<trace><event>" + _A + b'<string key="dept" value="d"/></event></trace></log>'
+)
+TRACE_WITHOUT_A_KEY = (
+    b"<log><trace><event>" + _A + b'<string key="role" value="x"/></event></trace>'
+    b"<trace><event>" + _B + b"</event><event>" + _A + b"</event></trace></log>"
+)
+LIST_IN_AN_EVENT = (
+    b"<log><trace><event>" + _A + b'<list key="l"><string key="role" value="x"/></list>'
+    b"</event></trace></log>"
+)
+NAME_AFTER_EVENTS = (
+    b"<log><trace><event>" + _A + b"</event>"
+    b'<string key="concept:name" value="late"/></trace></log>'
+)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
@@ -339,6 +357,10 @@ TWO_FORMS_OF_A_KEY = (
 @example(NAMELESS_THEN_CUT, 1)
 @example(CUT_INSIDE_NAMELESS, 1)
 @example(TWO_FORMS_OF_A_KEY, 1)
+@example(KEY_IN_THIRD_TRACE, 1)
+@example(TRACE_WITHOUT_A_KEY, 1)
+@example(LIST_IN_AN_EVENT, 1)
+@example(NAME_AFTER_EVENTS, 1)
 def test_xes_reader_agrees_with_elementtree_oracle(tmp_path, capsys, data, k):
     path = tmp_path / "log.xes"
     path.write_bytes(data)
