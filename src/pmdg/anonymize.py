@@ -37,7 +37,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientTraces
 from .hierarchy import Hierarchy, LevelVector, _mask, apply_to_log
-from .model import EventLog, control_flow, trace_signature, validate_k
+from .model import EventLog, _check_attributes, control_flow, trace_signature, validate_k
 
 logger = logging.getLogger(__name__)
 
@@ -188,10 +188,9 @@ def search(
     Every value of a selected attribute is looked up before any is masked,
     so one its hierarchy lacks raises ``UnknownValue`` whatever k is.
     """
+    selected = tuple(selected)
+    _check_attributes(log, selected)
     selected = sorted(set(selected))
-    unknown = [a for a in selected if a not in log.schema]
-    if unknown:
-        raise ValueError(f"selected attributes not in schema: {unknown}")
     missing = [a for a in selected if a not in attribute_hierarchies]
     if missing:
         raise ValueError(f"no hierarchy for selected attributes: {missing}")

@@ -29,7 +29,6 @@ from .errors import (
     InsufficientTraces,
     IoFailure,
     ParseError,
-    UnknownAttribute,
 )
 from .hierarchy import Hierarchy
 from .logio import (
@@ -45,7 +44,8 @@ from .logio import (
 )
 from .metrics import export_dot, handover_graph, handover_precision, remaining_variants
 from .model import (
-    WILDCARD, EventLog, _nfc, drop_singleton_variants, validate_k, variants,
+    MISSING, WILDCARD, EventLog, _check_attributes, _nfc, drop_singleton_variants,
+    validate_k, variants,
 )
 from .selection import UTILITY_NOTIONS, select
 from .vectorize import STRATEGIES
@@ -151,9 +151,7 @@ def run_pipeline(
     log = _read_log(input_path, config.csv, config.wildcard)
     if output_path is not None:  # fail before the work, not at the write
         _written_attributes(log, output_path, config.csv)
-    for attr in config.quasi_identifiers:
-        if attr not in log.schema:
-            raise UnknownAttribute(f"log has no attribute {attr!r}")
+    _check_attributes(log, config.quasi_identifiers)
     traces_read = len(log.traces)
     if config.drop_singletons:
         log = drop_singleton_variants(log)
@@ -375,8 +373,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     spec = _csv_spec_from_args(args)
     wildcard = args.wildcard_literal
-    if not wildcard:
-        raise ConfigError("--wildcard-literal must be a non-empty string")
+    if wildcard in ("", MISSING):
+        raise ConfigError(f"--wildcard-literal must be a non-empty string, not {MISSING!r}")
 
     if args.command == "preprocess":
         log = _read_log(args.input, spec, wildcard)
@@ -422,9 +420,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError(f"k must be at least 1, got {args.k}")
         log = _read_log(args.input, spec, wildcard)
         selected = [a.strip() for chunk in args.attr for a in chunk.split(",") if a.strip()]
-        for attr in selected:
-            if attr not in log.schema:
-                raise UnknownAttribute(f"log has no attribute {attr!r}")
         report = validate_k(log, selected, args.k)
         if report.ok:
             print(f"OK: every class has at least {args.k} members "

@@ -70,8 +70,8 @@ class UnknownValue(DataError):
     """A log contains a value that is not a leaf of the matching hierarchy."""
 
 
-class UnknownAttribute(DataError):
-    """An attribute name is not part of the log schema."""
+class UnknownAttribute(DataError, ValueError):
+    """An attribute name is not part of the log schema; also a ``ValueError``."""
 
 
 class LinkageBroken(DataError):

@@ -30,14 +30,61 @@ from .errors import (
     NonFunctionalLevel,
     UnknownValue,
 )
-from .model import MISSING, WILDCARD, EventLog, Trace, _map_bodies, _Memo, _nfc
+from .model import (
+    MISSING, WILDCARD, EventLog, Trace, _check_attributes, _map_bodies, _Memo, _nfc,
+)
 
 
 @dataclass(frozen=True)
 class HierarchyTable:
-    """A validated generalization table (rows of equal length ending in ``⋆``)."""
+    """A generalization table, checked however it is built: construction
+    strips and NFC-normalizes every cell, as log values are, so a leaf
+    matches the log value it names whatever its encoding, and raises the
+    :class:`~pmdg.errors.HierarchyFormatError` subclass naming the first
+    rule violated: uniform row length, wildcard root in the last column,
+    unique leaves, and functional consistency (equal values at level
+    ``j`` must stay equal at level ``j+1``)."""
 
     rows: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        normalized = tuple(tuple(_nfc(cell.strip()) for cell in row) for row in self.rows)
+        object.__setattr__(self, "rows", normalized)
+        if not normalized:
+            raise HierarchyFormatError("hierarchy table has no rows")
+        width = len(normalized[0])
+        if width < 2:
+            raise InconsistentDepth(
+                "hierarchy rows need at least a leaf column and the wildcard root"
+            )
+        for number, row in enumerate(normalized, start=1):
+            if len(row) != width:
+                raise InconsistentDepth(
+                    f"row {number} has {len(row)} cells, expected {width}"
+                )
+            if row[-1] != WILDCARD:
+                raise MissingRoot(
+                    f"row {number} ends in {row[-1]!r}, expected the wildcard {WILDCARD!r}"
+                )
+        seen_leaves: set[str] = set()
+        for number, row in enumerate(normalized, start=1):
+            if row[0] == WILDCARD:
+                raise HierarchyFormatError(
+                    f"row {number} uses the wildcard {WILDCARD!r} as a leaf"
+                )
+            if row[0] in seen_leaves:
+                raise DuplicateLeaf(f"leaf {row[0]!r} appears in more than one row")
+            seen_leaves.add(row[0])
+        for level in range(width - 1):
+            parent_of: dict[str, str] = {}
+            for row in normalized:
+                value, parent = row[level], row[level + 1]
+                known = parent_of.setdefault(value, parent)
+                if known != parent:
+                    raise NonFunctionalLevel(
+                        f"value {value!r} at level {level} maps to both {known!r} "
+                        f"and {parent!r}"
+                    )
 
     @property
     def depth(self) -> int:
@@ -49,52 +96,8 @@ class HierarchyTable:
 
 
 def validate_table(rows: Iterable[Sequence[str]]) -> HierarchyTable:
-    """Check the structural rules and return the table.
-
-    Cells are stripped and NFC-normalized, as log values are, so a leaf
-    matches the log value it names whatever its encoding.  Raises the
-    specific :class:`~pmdg.errors.HierarchyFormatError` subclass naming
-    the first rule violated: uniform row length, wildcard root in the
-    last column, unique leaves, and functional consistency (equal values
-    at level ``j`` must stay equal at level ``j+1``).
-    """
-    normalized = tuple(tuple(_nfc(cell.strip()) for cell in row) for row in rows)
-    if not normalized:
-        raise HierarchyFormatError("hierarchy table has no rows")
-    width = len(normalized[0])
-    if width < 2:
-        raise InconsistentDepth(
-            "hierarchy rows need at least a leaf column and the wildcard root"
-        )
-    for number, row in enumerate(normalized, start=1):
-        if len(row) != width:
-            raise InconsistentDepth(
-                f"row {number} has {len(row)} cells, expected {width}"
-            )
-        if row[-1] != WILDCARD:
-            raise MissingRoot(
-                f"row {number} ends in {row[-1]!r}, expected the wildcard {WILDCARD!r}"
-            )
-    seen_leaves: set[str] = set()
-    for number, row in enumerate(normalized, start=1):
-        if row[0] == WILDCARD:
-            raise HierarchyFormatError(
-                f"row {number} uses the wildcard {WILDCARD!r} as a leaf"
-            )
-        if row[0] in seen_leaves:
-            raise DuplicateLeaf(f"leaf {row[0]!r} appears in more than one row")
-        seen_leaves.add(row[0])
-    for level in range(width - 1):
-        parent_of: dict[str, str] = {}
-        for row in normalized:
-            value, parent = row[level], row[level + 1]
-            known = parent_of.setdefault(value, parent)
-            if known != parent:
-                raise NonFunctionalLevel(
-                    f"value {value!r} at level {level} maps to both {known!r} "
-                    f"and {parent!r}"
-                )
-    return HierarchyTable(rows=normalized)
+    """The checked table of ``rows``; see :class:`HierarchyTable`."""
+    return HierarchyTable(rows=tuple(rows))
 
 
 class _LevelTable(dict):
@@ -256,9 +259,8 @@ def apply_to_log(
     renamed, so the result holds one ``columns`` mapping per distinct body.
     """
     attribute_hierarchies = attribute_hierarchies or {}
+    _check_attributes(log, levels.attribute_levels)
     for attr in levels.attribute_levels:
-        if attr not in log.schema:
-            raise ValueError(f"level given for unknown attribute {attr!r}")
         if attr not in attribute_hierarchies:
             raise ValueError(f"no hierarchy supplied for attribute {attr!r}")
 

@@ -495,6 +495,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         f"{path}: quasi_identifiers must be a list of attribute names",
     )
     quasi = tuple(map(_nfc, qi_raw))  # as the readers store the header
+    _require(len(set(quasi)) == len(quasi), f"{path}: quasi_identifiers repeats a name")
 
     attr_raw = raw.get("attribute_hierarchies", {})
     _require(
@@ -530,8 +531,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     _require(isinstance(drop, bool), f"{path}: drop_singletons must be a boolean")
     wildcard = raw.get("wildcard", WILDCARD)
     _require(
-        isinstance(wildcard, str) and wildcard != "",
-        f"{path}: wildcard must be a non-empty string",
+        isinstance(wildcard, str) and wildcard not in ("", MISSING),
+        f"{path}: wildcard must be a non-empty string, not {MISSING!r}",
     )
 
     csv_raw = raw.get("csv", {})

@@ -37,9 +37,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import IoFailure, LinkageBroken, UnknownAttribute
+from .errors import IoFailure, LinkageBroken
 from .hierarchy import Hierarchy
-from .model import WILDCARD, EventLog, Trace, variants
+from .model import WILDCARD, EventLog, Trace, _check_attributes, variants
 
 
 def remaining_variants(log: EventLog) -> int:
@@ -71,8 +71,7 @@ class HandoverPair(NamedTuple):
 
 def handover_graph(log: EventLog, attribute: str) -> HandoverGraph:
     """Build the handover graph over consecutive non-padding events."""
-    if attribute not in log.schema:
-        raise UnknownAttribute(f"log has no attribute {attribute!r}")
+    _check_attributes(log, (attribute,))
     nodes: set[str] = set()
     edges: Counter[tuple[str, str]] = Counter()
     for trace in log.traces:
@@ -128,10 +127,8 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
     or the event counts differ — e.g. a pre-vectorization log against a
     re-read file, where fully masked events came back as padding.
     """
-    if attribute not in original.schema:
-        raise UnknownAttribute(f"original log has no attribute {attribute!r}")
-    if attribute not in anonymized.schema:
-        raise UnknownAttribute(f"anonymized log has no attribute {attribute!r}")
+    _check_attributes(original, (attribute,), "original log")
+    _check_attributes(anonymized, (attribute,), "anonymized log")
     images = {trace.case_id: trace for trace in anonymized.traces}
     # The ids of a case's and its image's columns mapping -> the first such
     # case, and the number of later ones.

@@ -50,6 +50,8 @@ from itertools import compress
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from .errors import UnknownAttribute
+
 WILDCARD = "⋆"  # ⋆
 MISSING = "⊥"  # ⊥
 
@@ -316,19 +318,22 @@ def trace_signature(trace: Trace, selected: Sequence[str]) -> tuple:
     return (trace.activities, tuple([(attr, trace.columns[attr]) for attr in selected]))
 
 
-def _ordered_selection(log: EventLog, selected: Iterable[str]) -> tuple[str, ...]:
-    wanted = set(selected)
-    unknown = wanted - set(log.schema)
-    if unknown:
-        raise ValueError(f"selected attributes not in schema: {sorted(unknown)}")
-    return tuple(attr for attr in log.schema if attr in wanted)
+def _check_attributes(log: EventLog, names: Iterable[str], label: str = "log") -> None:
+    """The package's one check of attribute names against a log: raise
+    :class:`~pmdg.errors.UnknownAttribute` for the first of ``names``, in
+    the caller's order, that ``label``'s schema lacks."""
+    absent = next((name for name in names if name not in log.schema), None)
+    if absent is not None:
+        raise UnknownAttribute(f"{label} has no attribute {absent!r}")
 
 
 def validate_k(log: EventLog, selected: Iterable[str], k: int) -> KAnonymityReport:
     """Check whether every equivalence class has at least ``k`` members."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    chosen = _ordered_selection(log, selected)
+    selected = tuple(selected)
+    _check_attributes(log, selected)
+    chosen = tuple(attr for attr in log.schema if attr in selected)
     sizes = Counter(trace_signature(trace, chosen) for trace in log.traces)
     violations = tuple((signature, size) for signature, size in sizes.items() if size < k)
     return KAnonymityReport(k, not violations, tuple(sizes.values()), violations)

@@ -24,9 +24,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnknownAttribute
 from .hierarchy import Hierarchy
-from .model import EventLog
+from .model import EventLog, _check_attributes
 
 UTILITY_NOTIONS = ("class_count", "size_balance")
 
@@ -45,10 +44,7 @@ class UtilityProfile:
 def _value_sequences(log: EventLog, hierarchy: Hierarchy) -> list[tuple[str, ...]]:
     if hierarchy.attribute is None:
         return [trace.activities for trace in log.traces]
-    if hierarchy.attribute not in log.schema:
-        raise UnknownAttribute(
-            f"log has no attribute {hierarchy.attribute!r} to score against"
-        )
+    _check_attributes(log, (hierarchy.attribute,))
     return [trace.columns[hierarchy.attribute] for trace in log.traces]
 
 

@@ -340,6 +340,9 @@ MALFORMED_INPUTS = [
      2),
     ("empty-wildcard-literal",
      ["validate", "--in", "{log}", "--k", "1", "--wildcard-literal", ""], 2),
+    # A missing cell would be written as ``⊥`` and read back as ``⋆``.
+    ("missing-literal-as-wildcard",
+     ["vectorize", "--in", "{log}", "--out", "{out}", "--wildcard-literal", "\u22a5"], 2),
     ("empty-xes", ["validate", "--in", "{empty_xes}", "--k", "2"], 3),
     ("truncated-xes", ["validate", "--in", "{truncated_xes}", "--k", "2"], 3),
     ("key-column-as-attribute-flag",
@@ -453,6 +456,42 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     assert err.startswith("pmdg: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (workdir / "out.csv").exists()  # a failed run writes no output
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--in", "{log}", "--k", "1", "--attr", "role,zz", "--attr", "ghost"],
+         "log has no attribute 'zz'"),
+        (["anonymize", "--config", "{config}", "--in", "{log}", "--out", "{out}"],
+         "log has no attribute 'zz'"),
+        (["metrics", "handover-graph", "--in", "{log}", "--attr", "zz"],
+         "log has no attribute 'zz'"),
+        (["metrics", "handover-precision", "--in", "{log}", "--anonymized", "{log}",
+          "--attr", "zz", "--hierarchy", "{role}"],
+         "original log has no attribute 'zz'"),
+        (["select-hierarchy", "--in", "{log}", "--perspective", "zz",
+          "--candidates", "{role}"],
+         "log has no attribute 'zz'"),
+    ],
+    ids=["validate", "anonymize", "handover-graph", "handover-precision",
+         "select-hierarchy"],
+)
+def test_unknown_attribute_exits_3_naming_the_first(workdir, capsys, argv, message):
+    # Names are checked in the order given: ``zz`` before ``ghost``.
+    hierarchy = f"[{workdir / 'role.csv'}]"
+    (workdir / "config.yaml").write_text(
+        _config_text(workdir, extra=f"  zz: {hierarchy}\n  ghost: {hierarchy}\n")
+        .replace("[role]", "[role, zz, ghost]"),
+        encoding="utf-8",
+    )
+    paths = {"config": "config.yaml", "log": "log.csv", "out": "out.csv",
+             "role": "role.csv"}
+    code = main([arg.format(**{key: workdir / name for key, name in paths.items()})
+                 for arg in argv])
+    assert code == 3
+    assert capsys.readouterr().err == f"pmdg: data error: {message}\n"
+    assert not (workdir / "out.csv").exists()
 
 
 # A nurse whose only event the activity level masks: ``Triage`` maps to

@@ -10,6 +10,7 @@ from pmdg import (
     EventLog,
     Hierarchy,
     HierarchyFormatError,
+    HierarchyTable,
     InconsistentDepth,
     LevelVector,
     MissingRoot,
@@ -62,6 +63,18 @@ def test_validate_table_errors():
         validate_table([(WILDCARD, WILDCARD)])
     with pytest.raises(InconsistentDepth):
         validate_table([("a",)])
+
+
+def test_hierarchy_table_is_checked_however_built():
+    # A table without the ``⋆`` root once built and left ``search`` with no
+    # node satisfying k.
+    with pytest.raises(MissingRoot):
+        Hierarchy(HierarchyTable(rows=(("A", "A"), ("B", "B"))))
+    with pytest.raises(NonFunctionalLevel):
+        HierarchyTable(rows=(("a", "x", "p", WILDCARD), ("b", "x", "q", WILDCARD)))
+    table = HierarchyTable(rows=((" Cafe\u0301 ", " g", WILDCARD),))
+    assert table.rows == (("Caf\u00e9", "g", WILDCARD),)
+    assert table == validate_table([("Caf\u00e9", "g", WILDCARD)])
 
 
 def test_generalize_is_row_lookup():

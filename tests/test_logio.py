@@ -415,6 +415,12 @@ csv:
         'csv: {case_column: "Caf\\u00e9", activity_column: "Cafe\\u0301"}\n',
         'k: 2\nactivity_hierarchies: [a.csv]\ncsv: {delimiter: ";;"}\n',
         "k: 2\nactivity_hierarchies: [a.csv]\ncsv: {attribute_columns: [role, role]}\n",
+        # The missing-value literal as the wildcard reads back as ``⋆``.
+        'k: 2\nactivity_hierarchies: [a.csv]\nwildcard: "\u22a5"\n',
+        "k: 2\nactivity_hierarchies: [a.csv]\nquasi_identifiers: [role, role]\n"
+        "attribute_hierarchies: {role: [r.csv]}\n",
+        'k: 2\nactivity_hierarchies: [a.csv]\nquasi_identifiers: ["r\u00f4le", "ro\u0302le"]\n'
+        'attribute_hierarchies: {"r\u00f4le": [r.csv]}\n',
     ],
 )
 def test_load_config_rejects_invalid(tmp_path, snippet):

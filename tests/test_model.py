@@ -6,18 +6,27 @@ import pytest
 from pmdg import (
     MISSING,
     WILDCARD,
+    DataError,
     Event,
     EventLog,
+    Hierarchy,
     LevelVector,
     Trace,
+    UnknownAttribute,
+    apply_to_log,
     control_flow,
     drop_singleton_variants,
+    handover_graph,
+    handover_precision,
+    satisfies,
+    search,
+    select,
     trace_signature,
     validate_k,
     variants,
 )
 
-from helpers import clinic_log, oracle_class_sizes, random_instance
+from helpers import clinic_hierarchies, clinic_log, oracle_class_sizes, random_instance
 
 
 def test_control_flow_clinic_case():
@@ -71,6 +80,38 @@ def test_validate_k_signature_uses_schema_order():
 def test_validate_k_rejects_unknown_attribute():
     with pytest.raises(ValueError):
         validate_k(clinic_log(), ["nope"], 1)
+
+
+# Each entry point, given ``role`` (known) then ``zz`` and ``ghost`` (unknown).
+UNKNOWN_ATTRIBUTE_CALLS = {
+    "validate_k": lambda log, act, hs: validate_k(log, hs, 1),
+    "search": lambda log, act, hs: search(log, act, hs, hs, 1),
+    "satisfies": lambda log, act, hs: satisfies(
+        log, LevelVector(0, dict.fromkeys(hs, 0)), act, hs, 1
+    ),
+    "apply_to_log": lambda log, act, hs: apply_to_log(
+        log, LevelVector(0, dict.fromkeys(hs, 0)), act, hs
+    ),
+    "select": lambda log, act, hs: select(
+        log, [Hierarchy(hs["role"].table, attribute=name) for name in hs]
+    ),
+    "handover_graph": lambda log, act, hs: handover_graph(log, "zz"),
+    "handover_precision": lambda log, act, hs: handover_precision(
+        log, log, "zz", hs["role"]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_ATTRIBUTE_CALLS.values(),
+                         ids=UNKNOWN_ATTRIBUTE_CALLS.keys())
+def test_unknown_attribute_is_one_error_naming_the_first(call):
+    activity, role, _ = clinic_hierarchies()
+    hierarchies = {"role": role, "zz": role, "ghost": role}
+    with pytest.raises(UnknownAttribute) as raised:
+        call(clinic_log(), activity, hierarchies)
+    assert isinstance(raised.value, ValueError) and isinstance(raised.value, DataError)
+    assert str(raised.value) in ("log has no attribute 'zz'",
+                                 "original log has no attribute 'zz'")
 
 
 def test_validate_k_classes_match_oracle():
