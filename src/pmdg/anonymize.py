@@ -19,12 +19,12 @@ The walk tries level vectors by ascending cost, ties in lexicographic
 order, and the first satisfying node wins.  It enumerates the vectors
 of each cost in turn, the first level running upward and the rest
 recursing, so the order holds by construction.  Generalizing further
-never splits an equivalence class (levels are monotone), so every node
-skipped on the way is genuinely unsatisfiable and nodes above a
+never splits an equivalence class (levels are functional), so every
+node skipped on the way is genuinely unsatisfiable and nodes above a
 satisfiable one need no visit.  Each distinct row is weighted by its
-number of traces and holds interned ints, so a check counts tuples of
-ints.  The returned log is built once from the chosen vector, and the k
-requirement is re-checked on it before returning.
+number of traces and holds ``Hierarchy.level_ids`` ids, so a check
+counts tuples of ints.  The returned log is built once from the chosen
+vector, and the k requirement is re-checked on it before returning.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
             f"log has {len(log.traces)} traces, cannot form classes of size {k}"
         )
     flows = Counter(control_flow(trace) for trace in log.traces)
-    levels = _levels(activity_hierarchy, flows)
+    levels = activity_hierarchy.level_ids(flows)
     hit = _first_hit([levels], list(flows.values()), k)
     if hit is None:
         # Generalization never changes trace lengths, so a length that occurs
@@ -145,31 +145,6 @@ def _first_hit(
     return None
 
 
-def _interned(items: Iterable[tuple]) -> list[int]:
-    """Each item's small-int id, in order; equal items share one."""
-    ids: dict[tuple, int] = {}
-    return [ids.setdefault(item, len(ids)) for item in items]
-
-
-def _levels(hierarchy: Hierarchy, sequences: Iterable[tuple]) -> list[list[int]]:
-    """The sequences' interned images at every level of the hierarchy."""
-    levels = range(hierarchy.depth + 1)
-    return [_interned(hierarchy.images(sequences, level)) for level in levels]
-
-
-def _masked_levels(
-    hierarchy: Hierarchy, flows: Sequence[tuple], columns: Sequence[tuple]
-) -> list[list[int]]:
-    """Each row's column, masked by its frozen flow, interned at every
-    level of the hierarchy.  Each distinct (flow, column) pair is masked
-    and looked up once; masking comes first, on the raw values, since
-    every level maps ``⋆`` to itself."""
-    pairs: dict[tuple, int] = {}
-    ids = [pairs.setdefault(pair, len(pairs)) for pair in zip(flows, columns)]
-    levels = _levels(hierarchy, [_mask(flow, column) for flow, column in pairs])
-    return [[level[i] for i in ids] for level in levels]
-
-
 def search(
     log: EventLog,
     activity_hierarchy: Hierarchy,
@@ -203,11 +178,21 @@ def search(
 
     # Phase 2, over the distinct raw signatures.
     rows = Counter(trace_signature(trace, selected) for trace in log.traces)
-    flows = list(activity_hierarchy.images((flow for flow, _ in rows), activity_level))
-    columns = [[_interned(flows)]]
+    raw_flows = [flow for flow, _ in rows]
+    flows = activity_hierarchy.level_ids(raw_flows)[activity_level]
+    frozen = activity_hierarchy.lookup(activity_level).__getitem__
+    # Each frozen flow, by its id: any raw flow with that id has its image.
+    images = [tuple(map(frozen, flow)) for flow in dict(zip(flows, raw_flows)).values()]
+    columns = [[flows]]
     for position, attr in enumerate(selected):
-        raw = [values[position][1] for _, values in rows]
-        columns.append(_masked_levels(attribute_hierarchies[attr], flows, raw))
+        # Each distinct (frozen flow, column) pair is masked once, on the raw
+        # values: every level maps ``⋆`` to itself, so masking commutes with it.
+        pairs: dict[tuple, int] = {}
+        ids = [pairs.setdefault((flow, values[position][1]), len(pairs))
+               for flow, (_, values) in zip(flows, rows)]
+        masked = [_mask(images[flow], column) for flow, column in pairs]
+        levels = attribute_hierarchies[attr].level_ids(masked)
+        columns.append([list(map(level.__getitem__, ids)) for level in levels])
     hit = _first_hit(columns, list(rows.values()), k)
     if hit is None:  # the top node's classes are phase 1's, which reach k
         raise AssertionError("internal error: no lattice node satisfies k")

@@ -160,10 +160,12 @@ def run_pipeline(
         raise InsufficientTraces(
             f"{traces_kept} traces remain after preprocessing, need at least {k}"
         )
+    variants_input = len(variants(log))
     timings["read_preprocess"] = time.perf_counter() - started
 
     started = time.perf_counter()
     vectorized = STRATEGIES[config.vectorization](log)
+    del log  # its last reader was the vectorization
     timings["vectorize"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -201,7 +203,6 @@ def run_pipeline(
         )
         for attr in config.quasi_identifiers
     }
-    variants_input = len(variants(log))
     variants_output = remaining_variants(result.anonymized)
     timings["metrics"] = time.perf_counter() - started
 
@@ -447,6 +448,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 0
         if args.metric == "handover-precision":
             anonymized = _read_log(args.anonymized, spec, wildcard)
+            _check_attributes(log, (args.attr,), "original log")
+            _check_attributes(anonymized, (args.attr,), "anonymized log")
             hierarchy = Hierarchy(
                 read_hierarchy(args.hierarchy, wildcard=wildcard), attribute=args.attr
             )

@@ -12,15 +12,15 @@ Levels are global per perspective: level 0 is the raw data, level
 ``depth`` maps everything to ``⋆``.  The precision weight ``alpha(v)``
 counts how many leaves generalize to (or through) ``v``; it drives the
 handover-quality metrics.  Generalization is a lookup in one table per
-level: hot paths ``map`` a whole sequence through it, and ``generalize``
-looks up one value, checking the level.
+level: ``generalize`` looks up one value, checking the level, and
+``level_ids`` rolls whole sequences up from each level's distinct images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateLeaf,
@@ -43,7 +43,8 @@ class HierarchyTable:
     :class:`~pmdg.errors.HierarchyFormatError` subclass naming the first
     rule violated: uniform row length, wildcard root in the last column,
     unique leaves, and functional consistency (equal values at level
-    ``j`` must stay equal at level ``j+1``)."""
+    ``j`` stay equal at level ``j+1``, and cells ``⋆`` and ``⊥``, unless
+    a leaf, go where the data's ``⋆`` and ``⊥`` go)."""
 
     rows: tuple[tuple[str, ...], ...]
 
@@ -76,7 +77,9 @@ class HierarchyTable:
                 raise DuplicateLeaf(f"leaf {row[0]!r} appears in more than one row")
             seen_leaves.add(row[0])
         for level in range(width - 1):
-            parent_of: dict[str, str] = {}
+            parent_of = {WILDCARD: WILDCARD}  # where the data's ``⋆`` and ``⊥`` go
+            if MISSING not in seen_leaves:
+                parent_of[MISSING] = MISSING if level + 1 < width - 1 else WILDCARD
             for row in normalized:
                 value, parent = row[level], row[level + 1]
                 known = parent_of.setdefault(value, parent)
@@ -101,8 +104,8 @@ def validate_table(rows: Iterable[Sequence[str]]) -> HierarchyTable:
 
 
 class _LevelTable(dict):
-    """One level of a hierarchy: each leaf, ``⊥`` and ``⋆`` -> its image.
-    Any other key raises :class:`~pmdg.errors.UnknownValue`."""
+    """Images at one level, or one level up from the level below; any
+    other key raises :class:`~pmdg.errors.UnknownValue`."""
 
     def __init__(self, name: str, images: Mapping[str, str]) -> None:
         super().__init__(images)
@@ -135,6 +138,11 @@ class Hierarchy:
                 | {WILDCARD: WILDCARD},
             )
             for level in range(self.depth + 1)
+        )
+        # Level l's images -> level l+1's; the first is level 1's table itself.
+        self._parents = tuple(
+            _LevelTable(self.name, dict(zip(lower.values(), upper.values())))
+            for lower, upper in zip(self._lookup, self._lookup[1:])
         )
         counts: dict[str, set[str]] = {}
         for row in table.rows:
@@ -171,10 +179,19 @@ class Hierarchy:
             raise ValueError(f"level {level} out of range 0..{self.depth} for {self.name}")
         return self._lookup[level]
 
-    def images(self, sequences: Iterable[Sequence[str]], level: int) -> Iterator[tuple]:
-        """Each sequence generalized to ``level``, by table lookup."""
-        table = self.lookup(level)
-        return (tuple(map(table.__getitem__, sequence)) for sequence in sequences)
+    def level_ids(self, sequences: Iterable[tuple[str, ...]]) -> list[list[int]]:
+        """Each sequence's image at every level 0..depth as a small int,
+        ``ids[level][i]`` for the ``i``-th sequence; equal images share one
+        id, numbered by first sight.  Level 0 interns the sequences, and level
+        ``l+1`` maps each distinct level-``l`` image once through a parent
+        table, so the first unknown value in scan order raises ``UnknownValue``."""
+        ids: dict[tuple, int] = {}
+        levels = [[ids.setdefault(sequence, len(ids)) for sequence in sequences]]
+        for parent in self._parents:
+            lift, images, ids = parent.__getitem__, ids, {}
+            up = [ids.setdefault(tuple(map(lift, image)), len(ids)) for image in images]
+            levels.append(list(map(up.__getitem__, levels[-1])))
+        return levels
 
     def alpha(self, value: str) -> int:
         """Number of leaves whose generalization path contains ``value``.

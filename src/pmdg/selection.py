@@ -48,22 +48,17 @@ def _value_sequences(log: EventLog, hierarchy: Hierarchy) -> list[tuple[str, ...
     return [trace.columns[hierarchy.attribute] for trace in log.traces]
 
 
-def _utility(
-    sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy, level: int, notion: str
-) -> float:
-    """Utility retained when this perspective is generalized to ``level``.
-
-    Only the hierarchy's own perspective is considered: the distinct raw
-    value sequences are generalized once each, grouped by their image
-    with their counts, and the group structure is scored by ``notion``.
-    """
-    groups: dict[tuple[str, ...], int] = {}
-    for image, count in zip(hierarchy.images(sequences, level), sequences.values()):
-        groups[image] = groups.get(image, 0) + count
+def _utility(level: Sequence[int], counts: Sequence[int], notion: str) -> float:
+    """Utility retained at one level of this perspective alone: ``level``
+    holds each distinct raw value sequence's image id there, ``counts`` its
+    number of traces, and the groups of equal ids are scored by ``notion``."""
+    sizes = [0] * (max(level, default=-1) + 1)  # ids run 0.. by first sight
+    for image, count in zip(level, counts):
+        sizes[image] += count
     if notion == "class_count":
-        return float(len(groups))
+        return float(len(sizes))
     if notion == "size_balance":
-        return 1.0 / (1.0 + statistics.pstdev(groups.values()))
+        return 1.0 / (1.0 + statistics.pstdev(sizes))
     raise ValueError(f"unknown utility notion {notion!r}")
 
 
@@ -79,10 +74,8 @@ def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
         raise ValueError("weights must not be empty")
     padded = tuple(weights) + (weights[-1],) * max(0, hierarchy.depth - len(weights))
     padded = padded[: hierarchy.depth]
-    per_level = tuple(
-        _utility(sequences, hierarchy, level, notion)
-        for level in range(1, hierarchy.depth + 1)
-    )
+    counts, levels = list(sequences.values()), hierarchy.level_ids(sequences)[1:]
+    per_level = tuple(_utility(level, counts, notion) for level in levels)
     total = sum(w * u for w, u in zip(padded, per_level))
     return UtilityProfile(
         name=name,

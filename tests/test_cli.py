@@ -1,8 +1,9 @@
 import json
+import weakref
 
 import pytest
 
-from pmdg import Event, read_log_csv, validate_k, vectorize_msa
+from pmdg import Event, read_log_csv, search, validate_k, vectorize_msa
 from pmdg.cli import main, run_pipeline
 from pmdg.logio import load_config
 from pmdg.vectorize import STRATEGIES
@@ -492,6 +493,38 @@ def test_unknown_attribute_exits_3_naming_the_first(workdir, capsys, argv, messa
     assert code == 3
     assert capsys.readouterr().err == f"pmdg: data error: {message}\n"
     assert not (workdir / "out.csv").exists()
+
+
+def test_handover_precision_checks_the_attribute_before_other_work(workdir, monkeypatch, capsys):
+    # Neither the hierarchy (which does not exist) nor the vectorization
+    # is reached: the attribute is checked right after both logs are read.
+    def refused(log):
+        raise AssertionError("vectorized before the attribute was checked")
+
+    monkeypatch.setattr("pmdg.cli.STRATEGIES", {"msa": refused})
+    log = str(workdir / "log.csv")
+    assert main(["metrics", "handover-precision", "--in", log, "--anonymized", log,
+                 "--attr", "ghost", "--hierarchy", str(workdir / "absent.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "pmdg: data error: original log has no attribute 'ghost'\n"
+    )
+
+
+def test_run_pipeline_frees_the_read_log_before_the_search(workdir, monkeypatch):
+    handed, msa = [], STRATEGIES["msa"]
+
+    def recorded(log):
+        handed.append(weakref.ref(log))
+        return msa(log)
+
+    def checked(*args, **kwargs):
+        assert [ref() for ref in handed] == [None]
+        return search(*args, **kwargs)
+
+    monkeypatch.setitem(STRATEGIES, "msa", recorded)
+    monkeypatch.setattr("pmdg.cli.search", checked)
+    manifest = run_pipeline(load_config(workdir / "config.yaml"), str(workdir / "log.csv"))
+    assert manifest.variants_input == 2 and len(handed) == 1
 
 
 # A nurse whose only event the activity level masks: ``Triage`` maps to

@@ -57,6 +57,18 @@ def test_validate_table_errors():
         validate_table(
             [("a", "x", "p", WILDCARD), ("b", "x", "q", WILDCARD)]
         )
+    # A ``⋆`` or a ``⊥`` that is no leaf meets the data's ``⋆`` or ``⊥``
+    # at level 1 and would split from it at level 2.
+    for rows in ([("x", WILDCARD, "y", WILDCARD)], [("x", MISSING, "y", WILDCARD)]):
+        with pytest.raises(NonFunctionalLevel) as raised:
+            validate_table(rows)
+        assert str(raised.value) == (
+            f"value {rows[0][1]!r} at level 1 maps to both {rows[0][1]!r} and 'y'"
+        )
+        with pytest.raises(NonFunctionalLevel):
+            Hierarchy.from_rows(rows)
+    # A ``⊥`` leaf follows its own row, so the same cells are functional.
+    validate_table([("x", MISSING, "y", WILDCARD), (MISSING, MISSING, "y", WILDCARD)])
     with pytest.raises(HierarchyFormatError):
         validate_table([])
     with pytest.raises(HierarchyFormatError):
@@ -110,7 +122,8 @@ def test_generalize_wildcard_and_missing():
 
 
 def _table_hierarchies(rng):
-    """Random tables, plus hand-built ones where ``⊥`` is and is not a leaf."""
+    """Random tables, plus hand-built ones with suppress-late rows, ``⊥``
+    as a leaf and not, and ``⋆`` cells below the root."""
     for _ in range(60):
         yield random_hierarchy(
             rng, n_leaves=rng.randint(1, 10), depth=rng.randint(1, 4),
@@ -122,34 +135,55 @@ def _table_hierarchies(rng):
         [("a", "a", "g", WILDCARD), (MISSING, "gap", "g", WILDCARD)], attribute="role"
     )
     yield Hierarchy.from_rows([(MISSING, MISSING, WILDCARD), ("b", "b", WILDCARD)])
+    yield Hierarchy.from_rows(  # suppress late: values stay put, then merge
+        [("a", "a", "a", "g", WILDCARD), ("b", "b", "g", "g", WILDCARD),
+         ("c", "c", "c", "c", WILDCARD)]
+    )
+    yield Hierarchy.from_rows(  # ``⊥`` is no leaf but a cell, meeting the data's
+        [("x", MISSING, MISSING, WILDCARD), ("y", "y", MISSING, WILDCARD),
+         ("z", "z", "z", WILDCARD)], attribute="role"
+    )
+    yield Hierarchy.from_rows(  # ``⋆`` cells below the root
+        [("a", WILDCARD, WILDCARD, WILDCARD), ("b", "g", WILDCARD, WILDCARD),
+         (MISSING, "m", "h", WILDCARD), ("c", "c", "h", WILDCARD)]
+    )
 
 
 def test_lookup_tables_match_generalize():
     rng = random.Random(41)
     for hierarchy in _table_hierarchies(rng):
         accepted = (*hierarchy.leaves, WILDCARD, MISSING)
+        sequences = [accepted, (), *((v,) for v in accepted)] + [
+            tuple(rng.choices(accepted, k=rng.randint(0, 3))) for _ in range(20)
+        ]
+        ids = hierarchy.level_ids(sequences)
+        assert len(ids) == hierarchy.depth + 1
         for level in range(hierarchy.depth + 1):
             expected = {v: oracle_generalize(hierarchy, v, level) for v in accepted}
             table = hierarchy.lookup(level)
             assert dict(table) == expected  # the same values, no others
             assert {v: hierarchy.generalize(v, level) for v in accepted} == expected
-            assert list(hierarchy.images([accepted, ()], level)) == [
-                tuple(expected[v] for v in accepted), ()
+            # Equal ids exactly for equal images, numbered by first sight.
+            first_sight: dict[tuple, int] = {}
+            assert ids[level] == [
+                first_sight.setdefault(tuple(expected[v] for v in sequence), len(first_sight))
+                for sequence in sequences
             ]
-            with pytest.raises(UnknownValue) as raised:
-                list(hierarchy.images([accepted, (accepted[0], "nope")], level))
             with pytest.raises(UnknownValue) as checked:
                 hierarchy.generalize("nope", level)
             with pytest.raises(UnknownValue) as oracle:
                 oracle_generalize(hierarchy, "nope", level)
-            assert str(raised.value) == str(checked.value) == str(oracle.value)
+            assert str(checked.value) == str(oracle.value)
             assert str(oracle.value) == f"'nope' is not a leaf of the {hierarchy.name} hierarchy"
+        # The first unknown value in scan order is the one reported.
+        with pytest.raises(UnknownValue) as raised:
+            hierarchy.level_ids([accepted, (accepted[0], "nope", "later"), ("later",)])
+        assert str(raised.value) == str(oracle.value)
         for level in (-1, hierarchy.depth + 1):
             with pytest.raises(ValueError) as oracle:
                 oracle_generalize(hierarchy, "nope", level)
             for out_of_range in (
                 lambda: hierarchy.lookup(level),
-                lambda: list(hierarchy.images([accepted], level)),
                 lambda: hierarchy.generalize(accepted[0], level),
             ):
                 with pytest.raises(ValueError) as raised:

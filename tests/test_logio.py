@@ -17,6 +17,7 @@ from pmdg import (
     MalformedXml,
     MissingColumn,
     MissingConceptName,
+    NonFunctionalLevel,
     RaggedRow,
     LevelVector,
     Trace,
@@ -351,6 +352,14 @@ def test_read_hierarchy_reports_path_on_error(tmp_path):
     with pytest.raises(InconsistentDepth) as excinfo:
         read_hierarchy(path)
     assert "h.csv" in str(excinfo.value)
+    # ``x`` meets the data's ``⋆`` or ``⊥`` at level 1, then splits from it.
+    for middle in ("⋆", "⊥"):
+        path = write(tmp_path / "h.csv", f"x,{middle},y,⋆\n")
+        with pytest.raises(NonFunctionalLevel) as excinfo:
+            read_hierarchy(path)
+        assert str(excinfo.value) == (
+            f"{path}: value {middle!r} at level 1 maps to both {middle!r} and 'y'"
+        )
 
 
 def test_load_config(tmp_path):
