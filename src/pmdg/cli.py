@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +35,9 @@ from .logio import (
     LogCsvSpec,
     PipelineConfig,
     _written_attributes,
+    check_k,
     check_level_weights,
+    check_wildcard,
     load_config,
     read_hierarchy,
     read_log_csv,
@@ -44,7 +46,7 @@ from .logio import (
 )
 from .metrics import export_dot, handover_graph, handover_precision, remaining_variants
 from .model import (
-    MISSING, WILDCARD, EventLog, _check_attributes, _nfc, drop_singleton_variants,
+    WILDCARD, EventLog, _check_attributes, _nfc, drop_singleton_variants,
     validate_k, variants,
 )
 from .selection import UTILITY_NOTIONS, select
@@ -136,15 +138,16 @@ def run_pipeline(
 ) -> RunManifest:
     """Run preprocess, vectorize, select, search, measure, and write.
 
-    ``k`` overrides the configured threshold.  The anonymized log goes to
-    ``output_path`` (CSV) and the manifest additionally to
+    ``k`` overrides the configured threshold, checked as the config's
+    own; ``config_sha256`` digests the settings as given.  The anonymized
+    log goes to ``output_path`` (CSV) and the manifest additionally to
     ``report_path`` (JSON) when given.  The report is opened first, so
     one that cannot be written raises :class:`IoFailure` before the log
     file is made.
     """
-    k = config.k if k is None else k
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    config_sha256 = _sha256_config(config)
+    if k is not None:
+        config = replace(config, k=k)
     timings: dict[str, float] = {}
 
     started = time.perf_counter()
@@ -156,9 +159,9 @@ def run_pipeline(
     if config.drop_singletons:
         log = drop_singleton_variants(log)
     traces_kept = len(log.traces)
-    if traces_kept < k:
+    if traces_kept < config.k:
         raise InsufficientTraces(
-            f"{traces_kept} traces remain after preprocessing, need at least {k}"
+            f"{traces_kept} traces remain after preprocessing, need at least {config.k}"
         )
     variants_input = len(variants(log))
     timings["read_preprocess"] = time.perf_counter() - started
@@ -189,7 +192,7 @@ def run_pipeline(
     started = time.perf_counter()
     result = search(
         vectorized, activity_hierarchy, attribute_hierarchies,
-        config.quasi_identifiers, k,
+        config.quasi_identifiers, config.k,
     )
     timings["search"] = time.perf_counter() - started
 
@@ -234,8 +237,8 @@ def run_pipeline(
         tool_version=f"pmdg {__version__}",
         input_path=str(input_path),
         input_sha256=input_sha256,
-        config_sha256=_sha256_config(config),
-        k=k,
+        config_sha256=config_sha256,
+        k=config.k,
         vectorization=config.vectorization,
         utility_notion=config.utility_notion,
         quasi_identifiers=tuple(config.quasi_identifiers),
@@ -374,8 +377,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     spec = _csv_spec_from_args(args)
     wildcard = args.wildcard_literal
-    if wildcard in ("", MISSING):
-        raise ConfigError(f"--wildcard-literal must be a non-empty string, not {MISSING!r}")
+    check_wildcard(wildcard, "--wildcard-literal")
 
     if args.command == "preprocess":
         log = _read_log(args.input, spec, wildcard)
@@ -417,8 +419,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "validate":
-        if args.k < 1:
-            raise ConfigError(f"k must be at least 1, got {args.k}")
+        check_k(args.k)
         log = _read_log(args.input, spec, wildcard)
         selected = [a.strip() for chunk in args.attr for a in chunk.split(",") if a.strip()]
         report = validate_k(log, selected, args.k)

@@ -32,11 +32,12 @@ from __future__ import annotations
 import csv
 import io
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO
 from xml.parsers import expat
 
 import yaml
@@ -58,11 +59,59 @@ from .selection import UTILITY_NOTIONS
 from .vectorize import STRATEGIES
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _strings(value: object, message: str) -> tuple[str, ...]:
+    """``value``, a list or tuple of strings, as a tuple, or :class:`ConfigError`."""
+    _require(isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value),
+             message)
+    return tuple(value)
+
+
+def _paths(value: object, label: str) -> tuple[str, ...]:
+    """One path or a non-empty list of them, as a tuple, or :class:`ConfigError`."""
+    message = f"{label} must be a non-empty list of file paths"
+    paths = _strings([value] if isinstance(value, str) else value, message)
+    _require(bool(paths), message)
+    return paths
+
+
+def check_k(k: object) -> None:
+    """Raise :class:`ConfigError` unless ``k`` is an int of at least 1."""
+    _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
+             f"k must be an integer >= 1, got {k!r}")
+
+
+def check_wildcard(literal: object, label: str) -> None:
+    """Raise :class:`ConfigError` unless ``literal`` can stand for the wildcard
+    in files: a non-empty string other than ``⊥``, which reads as missing."""
+    _require(isinstance(literal, str) and literal not in ("", MISSING),
+             f"{label} must be a non-empty string, not {MISSING!r}")
+
+
+def check_level_weights(raw: object, label: str) -> tuple[float, ...]:
+    """``raw``, a list or tuple, as level weights, or :class:`ConfigError`."""
+    _require(  # the range test is exact for ints and false for nan
+        isinstance(raw, (list, tuple)) and raw and all(
+            isinstance(w, (int, float)) and not isinstance(w, bool)
+            and 0 <= w <= sys.float_info.max for w in raw
+        ),
+        f"{label} must be a non-empty list of finite, non-negative numbers",
+    )
+    return tuple(map(float, raw))
+
+
 @dataclass(frozen=True)
 class LogCsvSpec:
-    """Column layout of a log CSV file.  The two key columns, case and
-    activity, differ from each other and from every attribute column
-    (in NFC form), or :class:`ConfigError` is raised."""
+    """Column layout of a log CSV file, checked however it is built.  The
+    delimiter is one character and the column names are strings; a list
+    of attribute columns is kept as a tuple, and ``None`` means every
+    non-key header column.  The two key columns, case and activity,
+    differ from each other and from every attribute column (in NFC form).
+    A spec that breaks a rule raises :class:`ConfigError`."""
 
     case_column: str = "case"
     activity_column: str = "activity"
@@ -70,15 +119,18 @@ class LogCsvSpec:
     delimiter: str = ","
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
-            raise ConfigError(
-                f"delimiter must be a single character, got {self.delimiter!r}"
-            )
+        _require(isinstance(self.delimiter, str) and len(self.delimiter) == 1,
+                 f"delimiter must be a single character, got {self.delimiter!r}")
+        for key in ("case_column", "activity_column"):
+            _require(isinstance(getattr(self, key), str), f"{key} must be a column name")
         columns = self.attribute_columns
-        if columns is not None and len(set(columns)) != len(columns):
-            raise ConfigError(f"attribute columns repeat a name: {list(columns)}")
-        if _nfc(self.case_column) == _nfc(self.activity_column):
-            raise ConfigError(f"case and activity column are both {self.case_column!r}")
+        if columns is not None:
+            columns = _strings(columns, "attribute_columns must be a list of column names")
+            object.__setattr__(self, "attribute_columns", columns)
+            _require(len(set(columns)) == len(columns),
+                     f"attribute columns repeat a name: {list(columns)}")
+        _require(_nfc(self.case_column) != _nfc(self.activity_column),
+                 f"case and activity column are both {self.case_column!r}")
         if (clash := self._key_clash(columns or ())) is not None:
             raise ConfigError(f"attribute column {clash!r} is a key column")
 
@@ -189,7 +241,7 @@ def _written_attributes(log: EventLog, path: str | Path, spec: LogCsvSpec) -> tu
     """The attribute columns of ``log`` written to ``path``, or :class:`DataError`
     for one named like a key column (an XES key ``case``, say) or one the
     log lacks in NFC form (an XES file without it, say)."""
-    names = spec.attribute_columns or log.schema
+    names = log.schema if spec.attribute_columns is None else spec.attribute_columns
     if (clash := spec._key_clash(names)) is not None:
         raise DataError(f"cannot write {path}: attribute {clash!r} names a key column")
     if (absent := next((n for n in names if _nfc(n) not in log.schema), None)) is not None:
@@ -426,7 +478,16 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything the end-to-end anonymization run needs to know."""
+    """Everything the end-to-end anonymization run needs to know, checked
+    however it is built: in code, by :func:`dataclasses.replace` or by
+    :func:`load_config`.  Construction normalizes in place (one path
+    becomes a one-path tuple, lists become tuples, attribute names take
+    their NFC form, as the readers store a header, and weights become
+    floats), then raises :class:`ConfigError` for the first field, in
+    field order, that breaks its rule: see :func:`check_k`,
+    :func:`check_level_weights` and :func:`check_wildcard`; every
+    quasi-identifier has hierarchies and ``csv`` is a :class:`LogCsvSpec`.
+    """
 
     k: int
     activity_hierarchies: tuple[str, ...]
@@ -439,26 +500,56 @@ class PipelineConfig:
     wildcard: str = WILDCARD
     csv: LogCsvSpec = field(default_factory=LogCsvSpec)
 
+    def __post_init__(self) -> None:
+        def normalize(name: str, value: object) -> None:
+            object.__setattr__(self, name, value)
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+        check_k(self.k)
+        activity = _paths(self.activity_hierarchies, "activity_hierarchies")
+        normalize("activity_hierarchies", activity)
+        quasi = tuple(map(_nfc, _strings(
+            self.quasi_identifiers, "quasi_identifiers must be a list of attribute names"
+        )))
+        _require(len(set(quasi)) == len(quasi), "quasi_identifiers repeats a name")
+        normalize("quasi_identifiers", quasi)
+        named = self.attribute_hierarchies
+        _require(
+            isinstance(named, Mapping) and all(isinstance(name, str) for name in named),
+            "attribute_hierarchies must map attribute names to file paths",
+        )
+        hierarchies = {
+            _nfc(name): _paths(paths, f"attribute_hierarchies[{name}]")
+            for name, paths in named.items()
+        }
+        _require(len(hierarchies) == len(named),
+                 "attribute_hierarchies names an attribute twice in two Unicode forms")
+        normalize("attribute_hierarchies", hierarchies)
+        for attr in quasi:
+            _require(attr in hierarchies, f"quasi-identifier {attr!r} has no hierarchy")
+        _require(isinstance(self.vectorization, str) and self.vectorization in STRATEGIES,
+                 f"vectorization must be one of {tuple(STRATEGIES)}")
+        _require(self.utility_notion in UTILITY_NOTIONS,
+                 f"utility_notion must be one of {UTILITY_NOTIONS}")
+        normalize("level_weights", check_level_weights(self.level_weights, "level_weights"))
+        _require(isinstance(self.drop_singletons, bool), "drop_singletons must be a boolean")
+        check_wildcard(self.wildcard, "wildcard")
+        _require(isinstance(self.csv, LogCsvSpec), "csv must be a LogCsvSpec")
 
 
-def check_level_weights(raw: object, label: str) -> tuple[float, ...]:
-    """``raw`` as level weights, or :class:`ConfigError`."""
-    _require(  # the range test is exact for ints and false for nan
-        isinstance(raw, list) and raw and all(
-            isinstance(w, (int, float)) and not isinstance(w, bool)
-            and 0 <= w <= sys.float_info.max for w in raw
-        ),
-        f"{label} must be a non-empty list of finite, non-negative numbers",
-    )
-    return tuple(map(float, raw))
+def _check_known(raw: dict, kind: type, label: str) -> None:
+    unknown = set(raw) - {f.name for f in fields(kind)}
+    _require(not unknown, f"unknown {label} {sorted(unknown, key=str)}")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate a YAML pipeline configuration."""
+    """Parse a YAML pipeline configuration into a :class:`PipelineConfig`.
+
+    The top level is a mapping of the config's field names, ``csv`` a
+    mapping of :class:`LogCsvSpec` field names; an absent key takes its
+    field's default (``k`` and ``activity_hierarchies`` have none).  The
+    constructors check every value, and each :class:`ConfigError` names
+    ``path``.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
@@ -468,109 +559,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
-    _require(isinstance(raw, dict), f"{path}: top level must be a mapping")
-    unknown = set(raw) - {f.name for f in fields(PipelineConfig)}
-    _require(not unknown, f"{path}: unknown keys {sorted(unknown, key=str)}")
-
-    k = raw.get("k")
-    _require(
-        isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-        f"{path}: k must be an integer >= 1",
-    )
-
-    def _as_paths(value, label: str) -> tuple[str, ...]:
-        if isinstance(value, str):
-            value = [value]
-        _require(
-            isinstance(value, list) and value and all(isinstance(p, str) for p in value),
-            f"{path}: {label} must be a non-empty list of file paths",
-        )
-        return tuple(value)
-
-    activity = _as_paths(raw.get("activity_hierarchies"), "activity_hierarchies")
-
-    qi_raw = raw.get("quasi_identifiers", [])
-    _require(
-        isinstance(qi_raw, list) and all(isinstance(a, str) for a in qi_raw),
-        f"{path}: quasi_identifiers must be a list of attribute names",
-    )
-    quasi = tuple(map(_nfc, qi_raw))  # as the readers store the header
-    _require(len(set(quasi)) == len(quasi), f"{path}: quasi_identifiers repeats a name")
-
-    attr_raw = raw.get("attribute_hierarchies", {})
-    _require(
-        isinstance(attr_raw, dict) and all(isinstance(name, str) for name in attr_raw),
-        f"{path}: attribute_hierarchies must map attribute names to file paths",
-    )
-    attr_hierarchies = {
-        _nfc(name): _as_paths(paths, f"attribute_hierarchies[{name}]")
-        for name, paths in attr_raw.items()
-    }
-    _require(
-        len(attr_hierarchies) == len(attr_raw),
-        f"{path}: attribute_hierarchies names an attribute twice in two Unicode forms",
-    )
-    for attr in quasi:
-        _require(
-            attr in attr_hierarchies,
-            f"{path}: quasi-identifier {attr!r} has no hierarchy",
-        )
-
-    vectorization = raw.get("vectorization", "msa")
-    _require(
-        isinstance(vectorization, str) and vectorization in STRATEGIES,
-        f"{path}: vectorization must be one of {tuple(STRATEGIES)}",
-    )
-    notion = raw.get("utility_notion", "class_count")
-    _require(
-        notion in UTILITY_NOTIONS,
-        f"{path}: utility_notion must be one of {UTILITY_NOTIONS}",
-    )
-    weights = check_level_weights(raw.get("level_weights", [1.0]), f"{path}: level_weights")
-    drop = raw.get("drop_singletons", False)
-    _require(isinstance(drop, bool), f"{path}: drop_singletons must be a boolean")
-    wildcard = raw.get("wildcard", WILDCARD)
-    _require(
-        isinstance(wildcard, str) and wildcard not in ("", MISSING),
-        f"{path}: wildcard must be a non-empty string, not {MISSING!r}",
-    )
-
-    csv_raw = raw.get("csv", {})
-    _require(isinstance(csv_raw, dict), f"{path}: csv must be a mapping")
-    csv_unknown = set(csv_raw) - {f.name for f in fields(LogCsvSpec)}
-    _require(not csv_unknown, f"{path}: unknown csv keys {sorted(csv_unknown, key=str)}")
-    for key in ("case_column", "activity_column"):
-        _require(
-            isinstance(csv_raw.get(key, ""), str),
-            f"{path}: csv.{key} must be a column name",
-        )
-    attribute_columns = csv_raw.get("attribute_columns")
-    if attribute_columns is not None:
-        _require(
-            isinstance(attribute_columns, list)
-            and all(isinstance(c, str) for c in attribute_columns),
-            f"{path}: csv.attribute_columns must be a list of column names",
-        )
-        attribute_columns = tuple(attribute_columns)
     try:
-        csv_spec = LogCsvSpec(
-            case_column=csv_raw.get("case_column", "case"),
-            activity_column=csv_raw.get("activity_column", "activity"),
-            attribute_columns=attribute_columns,
-            delimiter=csv_raw.get("delimiter", ","),
-        )
+        _require(isinstance(raw, dict), "top level must be a mapping")
+        _check_known(raw, PipelineConfig, "keys")
+        settings = {"k": None, "activity_hierarchies": None, **raw}
+        if "csv" in raw:
+            _require(isinstance(raw["csv"], dict), "csv must be a mapping")
+            _check_known(raw["csv"], LogCsvSpec, "csv keys")
+            settings["csv"] = LogCsvSpec(**raw["csv"])
+        return PipelineConfig(**settings)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-    return PipelineConfig(
-        k=k,
-        quasi_identifiers=quasi,
-        activity_hierarchies=activity,
-        attribute_hierarchies=attr_hierarchies,
-        vectorization=vectorization,
-        utility_notion=notion,
-        level_weights=weights,
-        drop_singletons=drop,
-        wildcard=wildcard,
-        csv=csv_spec,
-    )

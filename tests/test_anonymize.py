@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmdg import (
     WILDCARD,
@@ -27,6 +29,7 @@ from helpers import (
     clinic_log,
     oracle_minimal_cost,
     oracle_satisfies,
+    random_hierarchy,
     random_instance,
 )
 
@@ -170,6 +173,65 @@ def test_search_first_hit_is_minimal_cost():
         assert result.nodes_evaluated == activity_level + 1 + visited
         below_top += not result.maxed_out
     assert below_top >= 20
+
+
+@st.composite
+def correlated_instances(draw):
+    """A vectorized log, its hierarchies and k, where each quasi-identifier
+    alone is k-anonymous with raw values but no two together are: trace
+    ``(r, c)`` of a k-by-k square holds leaf ``r`` of ``q0``, leaf
+    ``r + c`` of ``q1`` and leaf ``r + 2c`` of ``q2`` (mod k), so each
+    leaf of a quasi-identifier appears k times and each pair of leaves at
+    most once.  Every trace has the same control flow, and some but trace
+    ``(0, 0)`` repeat."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([2, 3]))
+    selected = [f"q{i}" for i in range(draw(st.integers(2, 3)))]
+    activity = random_hierarchy(rng, n_leaves=4, depth=2, prefix="a")
+    attr_hs = {
+        attr: random_hierarchy(rng, n_leaves=k, depth=rng.randint(1, 3),
+                               attribute=attr, prefix=f"{attr}x")
+        for attr in selected
+    }
+    flow = [rng.choice(activity.leaves) for _ in range(rng.randint(1, 3))]
+    traces = []
+    for r, c in itertools.product(range(k), repeat=2):
+        values = {attr: attr_hs[attr].leaves[(r + i * c) % k] for i, attr in enumerate(selected)}
+        for _ in range(1 if (r, c) == (0, 0) else rng.randint(1, 2)):
+            events = [Event(name, values) for name in flow]
+            traces.append(Trace(f"c{len(traces):03d}", events))
+    log = vectorize_msa(EventLog(schema=tuple(selected), traces=tuple(traces)))
+    return log, activity, attr_hs, selected, k
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(instance=correlated_instances())
+def test_search_finds_the_joint_minimum_above_the_per_attribute_minima(instance):
+    """Each quasi-identifier alone reaches k at a lower node than the joint
+    minimum, so a bound built from the per-attribute minima must not skip
+    the nodes between them; ``search`` returns the oracle's cheapest vector."""
+    vectorized, activity, attr_hs, selected, k = instance
+    result = search(vectorized, activity, attr_hs, selected, k)
+    activity_level = result.chosen.activity_level
+    cost, vector = oracle_minimal_cost(vectorized, activity_level, activity, attr_hs, selected, k)
+    assert result.chosen.cost == cost
+    assert tuple(result.chosen.attribute_levels[a] for a in selected) == vector
+
+    def alone(attr):
+        return next(
+            level for level in range(attr_hs[attr].depth + 1)
+            if oracle_satisfies(
+                vectorized, LevelVector(activity_level, {attr: level}), activity, attr_hs, k
+            )
+        )
+
+    minima = tuple(map(alone, selected))
+    assert all(low <= level for low, level in zip(minima, vector))
+    assert minima != vector
+    assert not oracle_satisfies(
+        vectorized, LevelVector(activity_level, dict(zip(selected, minima))),
+        activity, attr_hs, k,
+    )
 
 
 def test_search_output_always_k_anonymous():

@@ -1,9 +1,10 @@
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from pmdg import Event, read_log_csv, search, validate_k, vectorize_msa
+from pmdg import ConfigError, Event, read_log_csv, search, validate_k, vectorize_msa
 from pmdg.cli import main, run_pipeline
 from pmdg.logio import load_config
 from pmdg.vectorize import STRATEGIES
@@ -101,6 +102,26 @@ def test_run_pipeline_manifest_fields(workdir):
     assert manifest.chosen_hierarchies["activity"].endswith("act.csv")
     assert len(manifest.input_sha256) == 64
     assert len(manifest.config_sha256) == 64
+
+
+@pytest.mark.parametrize("k", [0, True])
+def test_k_override_is_checked_as_the_config_checks_k(workdir, capsys, k):
+    """``run_pipeline(k=...)`` raises what ``replace(config, k=...)`` raises,
+    and ``anonymize --k 0`` and ``validate --k 0`` print the same line."""
+    config = load_config(workdir / "config.yaml")
+    with pytest.raises(ConfigError) as overridden:
+        run_pipeline(config, str(workdir / "log.csv"), k=k)
+    with pytest.raises(ConfigError) as replaced:
+        replace(config, k=k)
+    assert str(overridden.value) == str(replaced.value)
+    log = str(workdir / "log.csv")
+    lines = []
+    for argv in (["anonymize", "--config", str(workdir / "config.yaml"),
+                  "--out", str(workdir / "anon.csv")], ["validate"]):
+        assert main([*argv, "--in", log, "--k", "0"]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines == ["pmdg: configuration error: k must be an integer >= 1, got 0\n"] * 2
+    assert not (workdir / "anon.csv").exists()
 
 
 def test_exit_codes(workdir, tmp_path):

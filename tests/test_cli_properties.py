@@ -1,11 +1,14 @@
-"""Property test of the command line on generated hierarchy CSV and YAML
-config bytes: ``select-hierarchy`` and ``anonymize`` on a fixed small log
-exit with the code each input calls for, and a failed run prints one
-``pmdg:`` line, no traceback, and writes no output."""
+"""Property tests of the command line on generated bytes: hierarchy CSV
+and YAML config files through ``select-hierarchy`` and ``anonymize`` on a
+fixed small log, and log CSV files through ``validate``, ``anonymize``
+and ``metrics handover-precision``.  Each command exits with the code
+its input calls for, and a failed run prints one ``pmdg:`` line, no
+traceback, and writes no output."""
 
 import csv
 import io
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import yaml
@@ -166,3 +169,122 @@ def test_generated_hierarchy_and_config_files_exit_as_documented(
             assert _run(["validate", "--in", str(out), "--k", "2", "--attr", "role",
                          "--wildcard-literal", config.get("wildcard", WILDCARD)],
                         capsys)[0] == 0
+
+
+# Log cells: both Unicode forms of a leaf, the ``⋆`` literal and empty
+# cells (``⊥``); case ids also hold delimiters, quotes and a combining mark.
+LOG_ACTIVITIES = ["Register", "Caf\u00e9", "Cafe\u0301", "Scan", WILDCARD, ""]
+LOG_ROLES = ["Admin", "GP", "CA", WILDCARD, ""]
+CASE_PIECES = [",", ";", '"', "'", " ", "1", "\u00e9", "e\u0301"]
+LOG_ACTIVITY_H = "Register,Register,⋆\nCaf\u00e9,Visit,⋆\nScan,Visit,⋆\n"
+BIG_K = 1000  # more than any generated log has traces
+
+
+@st.composite
+def log_files(draw):
+    """Bytes of a log CSV, its delimiter, its number of cases, what it
+    holds ("valid", "unknown" for a value no hierarchy has, or "ragged"
+    for a row of the wrong width) and whether it was cut at a byte."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    case_ids = draw(st.lists(st.lists(st.sampled_from(CASE_PIECES), max_size=3).map("".join),
+                             min_size=1, max_size=3))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(case_ids), st.sampled_from(LOG_ACTIVITIES),
+                  st.sampled_from(LOG_ROLES)).map(list),
+        min_size=1, max_size=8,
+    ))
+    state = draw(st.sampled_from(["valid", "valid", "unknown", "ragged"]))
+    row = draw(st.sampled_from(rows))
+    if state == "unknown":
+        row[draw(st.integers(1, 2))] = "Zed"
+    elif state == "ragged" and draw(st.booleans()):
+        row.append("extra")
+    elif state == "ragged":
+        row.pop()
+    text = io.StringIO()
+    lineterminator = draw(st.sampled_from(["\n", "\r\n"]))
+    csv.writer(text, delimiter=delimiter, lineterminator=lineterminator).writerows(
+        [["case", "activity", "role"], *rows]
+    )
+    data = ("\ufeff" if draw(st.booleans()) else "").encode() + text.getvalue().encode()
+    cut = draw(st.sampled_from([False, False, True]))
+    if cut:  # perhaps inside a character, a quoted cell or the header
+        data = data[:draw(st.integers(0, len(data)))]
+    cases = len({unicodedata.normalize("NFC", row[0]) for row in rows})
+    return data, delimiter, cases, state, cut
+
+
+# The exit codes of each command on an uncut file, by what the file holds.
+# ``hp`` is ``metrics handover-precision`` against the ``anonymize`` output,
+# or against the log itself when no output was written.
+LOG_CODES = {
+    "valid": {"validate": {0}, "validate-big-k": {1}, "anonymize-big-k": {4},
+              "anonymize": {0}, "anonymize-missing-dir": {5}, "hp": {0}},
+    "unknown": {"validate": {0}, "validate-big-k": {1}, "anonymize-big-k": {4},
+                "anonymize": {3}, "anonymize-missing-dir": {3}, "hp": {0, 3}},
+    "ragged": dict.fromkeys(["validate", "validate-big-k", "anonymize-big-k", "anonymize",
+                             "anonymize-missing-dir", "hp"], {3}),
+}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=log_files())
+# Every code but 2 and 3 from one valid log, and 3 from a ragged one.
+@example(log=("case,activity,role\n1,Register,Admin\n2,Register,GP\n".encode(),
+              ",", 2, "valid", False))
+@example(log=("case,activity,role\n1,Register\n".encode(), ",", 1, "ragged", False))
+def test_generated_log_files_exit_as_documented(capsys, log):
+    data, delimiter, cases, state, cut = log
+    with tempfile.TemporaryDirectory() as scratch:
+        work = Path(scratch)
+        (work / "log.csv").write_bytes(data)
+        (work / "act.csv").write_text(LOG_ACTIVITY_H, encoding="utf-8")
+        (work / "role.csv").write_text(ROLE_CSV, encoding="utf-8")
+        config = {
+            "k": 2,
+            "quasi_identifiers": ["role"],
+            "activity_hierarchies": [str(work / "act.csv")],
+            "attribute_hierarchies": {"role": [str(work / "role.csv")]},
+            "csv": {"delimiter": delimiter},
+        }
+        (work / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        log_path, out, missing = str(work / "log.csv"), work / "anon.csv", work / "no" / "a.csv"
+        layout = ["--delimiter", delimiter]
+        k = str(min(2, cases))
+        anonymize = ["anonymize", "--config", str(work / "config.yaml"), "--in", log_path]
+        commands = {
+            "validate": (["validate", "--in", log_path, "--k", "1", "--attr", "role", *layout],
+                         None),
+            "validate-big-k": (["validate", "--in", log_path, "--k", str(BIG_K),
+                                "--attr", "role", *layout], None),
+            "anonymize-big-k": ([*anonymize, "--out", str(out), "--k", str(BIG_K)], out),
+            "anonymize-missing-dir": ([*anonymize, "--out", str(missing), "--k", k], missing),
+            "anonymize": ([*anonymize, "--out", str(out), "--k", k], out),
+        }
+        codes = {}
+        for name, (argv, written) in commands.items():
+            capsys.readouterr()
+            codes[name] = code = main(argv)
+            printed, err = capsys.readouterr()
+            allowed = LOG_CODES[state][name]
+            if cut:  # perhaps before the fault, a parse error, or fewer traces than k
+                allowed = (allowed | LOG_CODES["valid"][name] | {3}
+                           | ({4} if name.startswith("anonymize") else set()))
+            assert code in allowed, (name, err)
+            if code == 1:
+                assert printed.startswith("FAIL: ") and err == ""
+            elif code:
+                _check_failure(err, written)
+        anonymized = str(out) if codes["anonymize"] == 0 else log_path
+        code, err = _run(["metrics", "handover-precision", "--in", log_path,
+                          "--anonymized", anonymized, "--attr", "role",
+                          "--hierarchy", str(work / "role.csv"), *layout], capsys)
+        if codes["anonymize"] == 0:
+            assert code == 0, err
+            assert _run(["validate", "--in", str(out), "--k", k, "--attr", "role", *layout],
+                        capsys)[0] == 0
+        else:
+            assert code in LOG_CODES[state]["hp"] | LOG_CODES["valid"]["hp"] | {3}, err
+        if code:
+            _check_failure(err, None)

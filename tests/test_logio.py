@@ -1,8 +1,10 @@
 import gc
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
+import yaml
 
 from pmdg import (
     MISSING,
@@ -18,6 +20,7 @@ from pmdg import (
     MissingColumn,
     MissingConceptName,
     NonFunctionalLevel,
+    PipelineConfig,
     RaggedRow,
     LevelVector,
     Trace,
@@ -32,6 +35,7 @@ from pmdg import (
 )
 
 from helpers import random_instance
+from test_cli_properties import WRONG
 
 
 def write(path, text):
@@ -453,6 +457,102 @@ def test_load_config_invalid_yaml(tmp_path):
     path = write(tmp_path / "broken.yaml", "k: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+# Every wrong value of the generated-config property test, a repeated and
+# an unknown quasi-identifier, and one more wrong value each for
+# ``drop_singletons``, ``level_weights`` and ``vectorization``.
+WRONG_SETTINGS = [(key, value) for key, values in WRONG.items() for value in values] + [
+    ("quasi_identifiers", ["role", "role"]), ("quasi_identifiers", ["ghost"]),
+    ("drop_singletons", "no"), ("level_weights", [-1.0]), ("vectorization", "bogus"),
+]
+VALID_SETTINGS = {
+    "k": 2,
+    "activity_hierarchies": ["act.csv"],
+    "quasi_identifiers": ["role"],
+    "attribute_hierarchies": {"role": ["role.csv"]},
+}
+
+
+def _shapes(value):
+    """``value`` as given, and with every list in it a tuple."""
+    if isinstance(value, list):
+        return [value, tuple(value)]
+    if isinstance(value, dict):
+        return [value, {key: tuple(v) if isinstance(v, list) else v for key, v in value.items()}]
+    return [value]
+
+
+@pytest.mark.parametrize("key, value", WRONG_SETTINGS, ids=repr)
+def test_pipeline_config_checks_every_setting_however_it_is_built(tmp_path, key, value):
+    """A wrong value raises :class:`ConfigError` from the constructor, from
+    ``replace`` and from ``load_config``; the YAML route names the file in
+    front of the constructor's message."""
+    base = PipelineConfig(**VALID_SETTINGS)
+    messages = []
+    for shape in _shapes(value):
+        with pytest.raises(ConfigError) as built:
+            PipelineConfig(**{**VALID_SETTINGS, key: shape})
+        with pytest.raises(ConfigError) as replaced:
+            replace(base, **{key: shape})
+        assert str(replaced.value) == str(built.value)
+        messages.append(str(built.value))
+    if key == "csv" and isinstance(value, dict) and "separator" not in value:
+        with pytest.raises(ConfigError):
+            LogCsvSpec(**value)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**VALID_SETTINGS, key: value}), encoding="utf-8")
+    with pytest.raises(ConfigError) as loaded:
+        load_config(path)
+    if key == "csv":  # YAML takes a mapping, the constructor a ``LogCsvSpec``
+        assert str(loaded.value).startswith(f"{path}: ")
+    else:
+        assert str(loaded.value) == f"{path}: {messages[0]}"
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"case_column": 5}, {"activity_column": None}, {"attribute_columns": (1,)},
+     {"attribute_columns": "role"}],
+    ids=repr,
+)
+def test_log_csv_spec_built_in_code_rejects_wrong_settings(settings):
+    with pytest.raises(ConfigError):
+        LogCsvSpec(**settings)
+
+
+def test_pipeline_config_normalizes_in_place():
+    """One path is a one-path tuple, lists are tuples, names are NFC and
+    weights floats; ``replace`` keeps the normalized form."""
+    config = PipelineConfig(
+        k=2,
+        activity_hierarchies="activity.csv",
+        quasi_identifiers=["Cafe\u0301"],
+        attribute_hierarchies={"Cafe\u0301": "cafe.csv"},
+        level_weights=[1, 0.5],
+        csv=LogCsvSpec(attribute_columns=["Cafe\u0301"]),
+    )
+    assert config.activity_hierarchies == ("activity.csv",)
+    assert config.quasi_identifiers == ("Caf\u00e9",)
+    assert config.attribute_hierarchies == {"Caf\u00e9": ("cafe.csv",)}
+    assert config.level_weights == (1.0, 0.5)
+    assert all(type(w) is float for w in config.level_weights)
+    assert config.csv.attribute_columns == ("Cafe\u0301",)  # matched to the header as given
+    assert replace(config, k=3) == PipelineConfig(**{**vars(config), "k": 3})
+
+
+def test_write_log_csv_with_no_attribute_columns_writes_only_the_keys(tmp_path):
+    """An empty tuple of attribute columns writes none, as it reads none."""
+    spec = LogCsvSpec(attribute_columns=())
+    log = EventLog(schema=("role",), traces=(
+        Trace("1", [Event("A", {"role": "GP"}), Event("B", {"role": "CA"})]),
+    ))
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path, spec)
+    assert path.read_text(encoding="utf-8") == "case,activity\n1,A\n1,B\n"
+    back = read_log_csv(path, spec)
+    assert back.schema == ()
+    assert [t.activities for t in back.traces] == [("A", "B")]
 
 
 def _xes_of(log):
