@@ -7,7 +7,8 @@ the end-to-end ``anonymize`` run driven by a YAML configuration.
 Exit codes: 0 success, 1 failed validation, 2 configuration or usage
 error, 3 input parse error or input that does not fit the hierarchies
 or arguments, 4 privacy requirement unsatisfiable (fewer traces than
-k), 5 I/O failure.
+k), 5 I/O failure.  Each error is one ``pmdg: `` line on stderr; warnings
+come before it, one ``pmdg: warning: `` line each.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import time
 from collections import Counter
@@ -480,12 +482,20 @@ _FAILURES = (
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # For this call, the package's warnings are ``pmdg: warning: `` lines on
+    # the current stderr, ahead of any error line.
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setFormatter(logging.Formatter("pmdg: warning: %(message)s"))
+    logger = logging.getLogger("pmdg")
+    logger.addHandler(warnings)
     try:
         return _dispatch(args)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(exc, kind))
         print(f"pmdg: {prefix}{exc}", file=sys.stderr)
         return code
+    finally:
+        logger.removeHandler(warnings)
 
 
 if __name__ == "__main__":

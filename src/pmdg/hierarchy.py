@@ -272,8 +272,8 @@ def apply_to_log(
     unknown value raises :class:`~pmdg.errors.UnknownValue` wherever it
     stands: the first in the first trace that holds one, its activities
     read before its attribute columns in schema order.  Equal image
-    columns share one tuple, and equal image bodies one image trace,
-    renamed, so the result holds one ``columns`` mapping per distinct body.
+    columns share one tuple; the result, an :class:`EventLog`, holds one
+    ``columns`` mapping per distinct image body.
     """
     attribute_hierarchies = attribute_hierarchies or {}
     _check_attributes(log, levels.attribute_levels)
@@ -296,15 +296,10 @@ def apply_to_log(
 
     flows = _Memo(lambda flow: share(tuple(map(activities, flow))))
     images = _Memo(image)  # (attribute, image flow, column) -> image column
-    built: dict[tuple, Trace] = {}  # image body -> its first image trace
 
     def build(trace: Trace) -> Trace:
         flow = flows[trace.activities]
         columns = {attr: images[attr, flow, trace.columns[attr]] for attr in log.schema}
-        body = (flow, trace.origins, *columns.values())
-        if (first := built.get(body)) is not None:
-            return first._renamed(trace.case_id)
-        first = built[body] = Trace.from_columns(trace.case_id, flow, columns, trace.origins)
-        return first
+        return Trace.from_columns(trace.case_id, flow, columns, trace.origins)
 
     return _map_bodies(log, build)

@@ -20,11 +20,13 @@ one pair of ``pyexpat`` handlers that build a trace's columns at its
 ``</trace>``.  A read holds the log it builds and one trace's events,
 never the whole file, an element tree or an ``Event``.  Each distinct
 cell is canonicalized and NFC-normalized once per read, and every trace
-holding that value shares one string; equal columns share one tuple.
-Case ids are grouped and deduplicated on their NFC form, so the two
-Unicode spellings of a name are one case id, and so are attribute
-names.  A log file without events raises :class:`EmptyLog`.  Both CSV
-readers skip a leading UTF-8 byte-order mark; the writer writes none.
+holding that value shares one string; equal columns share one tuple,
+and the cases of one body one ``columns`` mapping, as in every
+:class:`~pmdg.model.EventLog`.  Case ids are grouped and deduplicated
+on their NFC form, so the two Unicode spellings of a name are one case
+id, and so are attribute names.  A log file without events raises
+:class:`EmptyLog`.  Both CSV readers skip a leading UTF-8 byte-order
+mark; the writer writes none.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import io
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import filterfalse, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO
@@ -109,9 +111,11 @@ class LogCsvSpec:
     """Column layout of a log CSV file, checked however it is built.  The
     delimiter is one character and the column names are strings; a list
     of attribute columns is kept as a tuple, and ``None`` means every
-    non-key header column.  The two key columns, case and activity,
-    differ from each other and from every attribute column (in NFC form).
-    A spec that breaks a rule raises :class:`ConfigError`."""
+    non-key header column.  Names match a header, and each other, in
+    NFC form: the attribute columns do not repeat a name, and the two
+    key columns, case and activity, differ from each other and from every
+    attribute column.  A spec that breaks a rule raises
+    :class:`ConfigError`."""
 
     case_column: str = "case"
     activity_column: str = "activity"
@@ -127,24 +131,27 @@ class LogCsvSpec:
         if columns is not None:
             columns = _strings(columns, "attribute_columns must be a list of column names")
             object.__setattr__(self, "attribute_columns", columns)
-            _require(len(set(columns)) == len(columns),
+            _require(len(set(map(_nfc, columns))) == len(columns),
                      f"attribute columns repeat a name: {list(columns)}")
         _require(_nfc(self.case_column) != _nfc(self.activity_column),
                  f"case and activity column are both {self.case_column!r}")
         if (clash := self._key_clash(columns or ())) is not None:
             raise ConfigError(f"attribute column {clash!r} is a key column")
 
+    def _is_key(self, name: str) -> bool:
+        """Is ``name``, in NFC form, a key column?"""
+        return _nfc(name) in (_nfc(self.case_column), _nfc(self.activity_column))
+
     def _key_clash(self, names: Sequence[str]) -> str | None:
         """The first of ``names`` that, in NFC form, is a key column."""
-        keys = (_nfc(self.case_column), _nfc(self.activity_column))
-        return next((name for name in names if _nfc(name) in keys), None)
+        return next(filter(self._is_key, names), None)
 
     def resolve_attributes(self, header: Sequence[str]) -> tuple[str, ...]:
-        """Attribute columns, defaulting to every non-key header column."""
+        """Attribute columns, defaulting to every header column that, in
+        NFC form, is not a key column."""
         if self.attribute_columns is not None:
             return tuple(self.attribute_columns)
-        keys = {self.case_column, self.activity_column}
-        return tuple(name for name in header if name not in keys)
+        return tuple(filterfalse(self._is_key, header))
 
 
 def _canonical(cell: str, wildcard: str) -> str:
@@ -171,14 +178,16 @@ def read_log_csv(
     into cases on the NFC form of their case id, and each case's rows
     become its trace's columns.
 
-    Raises :class:`MissingColumn` if the header lacks a configured
-    column, :class:`RaggedRow` (with the line number) if a data row does
-    not match the header width, :class:`EmptyLog` if no data rows
-    remain, and :class:`ParseError` if the header repeats a name (in
-    either Unicode form), the file is not UTF-8 or the ``csv`` module
-    rejects it (e.g. a cell over its field size limit).  Header faults
-    are reported before any data row is read; otherwise the first faulty
-    row wins.
+    The spec's columns are found in the header by their NFC form, so
+    either Unicode spelling of a name matches.  Raises
+    :class:`MissingColumn` if the header lacks a configured column,
+    :class:`RaggedRow` (with the line number) if a data row does not
+    match the header width, :class:`EmptyLog` if no data rows remain,
+    and :class:`ParseError` if the header repeats a name (in either
+    Unicode form), the file is not UTF-8 or the ``csv`` module rejects
+    it (e.g. a cell over its field size limit).  Header faults are
+    reported before any data row is read; otherwise the first faulty row
+    wins.
     """
     spec = spec or LogCsvSpec()
     cells = _cells(wildcard)
@@ -192,16 +201,17 @@ def read_log_csv(
                 header = next(reader)
             except StopIteration:
                 raise EmptyLog(f"{path}: file is empty") from None
-            if len(set(map(_nfc, header))) != len(header):
+            at = {name: i for i, name in enumerate(map(_nfc, header))}  # NFC name -> index
+            if len(at) != len(header):
                 raise ParseError(f"{path}: header repeats a column name: {header}")
             schema = spec.resolve_attributes(header)
             for column in (spec.case_column, spec.activity_column, *schema):
-                if column not in header:
+                if _nfc(column) not in at:
                     raise MissingColumn(f"{path}: header has no column {column!r}")
-            case_at, width = header.index(spec.case_column), len(header)
+            case_at, width = at[_nfc(spec.case_column)], len(header)
             pick = itemgetter(  # a trailing extra index: always a tuple
-                header.index(spec.activity_column),
-                *(header.index(name) for name in schema),
+                at[_nfc(spec.activity_column)],
+                *(at[_nfc(name)] for name in schema),
                 0,
             )
             for row in reader:
@@ -265,16 +275,16 @@ def write_log_csv(
     needs the vectorized original, which is matched by column.
 
     A trace is written as its columns zipped into rows, unless it shares
-    its ``columns`` mapping, and so its body, with an earlier trace (as in
-    a log that vectorization or generalization built; see
-    :mod:`pmdg.model`).  At a body's second sight its rows are rendered
-    once, each behind an empty field, through a writer of the same
-    dialect; that trace and every later one with the body are written as
-    their rendered case id in front of each of those rows.  A record of
-    two fields or more renders each field on its own, so the bytes are
-    the same either way.  An attribute named like a key column would make
-    the file unreadable, and one the log lacks cannot be written, so both
-    raise :class:`DataError` before the file is created.
+    its ``columns`` mapping, and so its body, with an earlier trace (every
+    :class:`~pmdg.model.EventLog` holds one mapping per distinct body).
+    At a body's second sight its rows are rendered once, each behind an
+    empty field, through a writer of the same dialect; that trace and
+    every later one with the body are written as their rendered case id
+    in front of each of those rows.  A record of two fields or more
+    renders each field on its own, so the bytes are the same either way.
+    An attribute named like a key column would make the file unreadable,
+    and one the log lacks cannot be written, so both raise
+    :class:`DataError` before the file is created.
     """
     spec = spec or LogCsvSpec()
     names = _written_attributes(log, path, spec)

@@ -118,10 +118,10 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
     log against the in-memory anonymized log, where masked events keep
     their ``origin_index`` and so are not padding.
 
-    Traces share a ``columns`` mapping only when they share a body (see
-    :mod:`pmdg.model`), so the events of each distinct pair of original
-    and image mappings are paired once, at its first case, and its
-    handovers count once per case.
+    A log holds one ``columns`` mapping per distinct body (see
+    :class:`~pmdg.model.EventLog`), so the events of each distinct pair of
+    original and image mappings are paired once, at its first case, and
+    its handovers count once per case.
 
     Raises :class:`LinkageBroken`, in log order, when a case is missing
     or the event counts differ — e.g. a pre-vectorization log against a

@@ -25,13 +25,12 @@ use, so reading, generalizing and writing a log builds no ``Event``.
 
 A trace's *body* is everything but its case id: the activity, origin and
 attribute columns.  Cases often repeat a body, and an anonymized log is
-made of classes of at least k cases with one body each, so the passes
-after the read do their work once per distinct body: the first case with
-a body is built and checked as usual, and every later one is that trace
-renamed, sharing its columns.  Any other construction gives a trace a
-``columns`` mapping of its own, so traces that share one share a body: a
-pass over a log that vectorization or generalization built can
-recognize a repeated body by the identity of its mapping.
+made of classes of at least k cases with one body each, so an
+:class:`EventLog` holds one ``columns`` mapping per distinct body: the
+first case with a body is kept as given, and every later one is stored
+as that trace renamed, sharing its columns.  A mapping always belongs to
+one body, so every pass recognizes a repeated body by the identity of
+its mapping and does its work once per distinct body.
 
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare
@@ -240,28 +239,46 @@ class EventLog:
     """An immutable event log with a fixed attribute schema.
 
     Every non-empty trace carries exactly the schema's attribute columns;
-    case identifiers are unique within the log.
+    case identifiers are unique within the log.  A trace whose body (its
+    activities, origins and columns in schema order) equals an earlier
+    trace's is stored as that earlier trace renamed, so the log holds one
+    ``columns`` mapping per distinct body; traces and case ids keep their
+    order, and the log equals the traces as given.  A trace whose mapping
+    is already in the log needs no body key, so a log that a pass built
+    costs one key per distinct mapping.
     """
 
     schema: tuple[str, ...]
     traces: tuple[Trace, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", tuple(_nfc(s) for s in self.schema))
-        object.__setattr__(self, "traces", tuple(self.traces))
-        if len(set(self.schema)) != len(self.schema):
+        schema = tuple(_nfc(s) for s in self.schema)
+        object.__setattr__(self, "schema", schema)
+        if len(set(schema)) != len(schema):
             raise ValueError("schema attribute names must be unique")
-        expected = set(self.schema)
+        expected = set(schema)
         seen_cases: set[str] = set()
-        for trace in self.traces:
+        first_of: dict[tuple, Trace] = {}  # body -> its first trace
+        first_by_id: dict[int, Trace] = {}  # id of a columns mapping -> its body's first trace
+        given = tuple(self.traces)  # alive through the loop, so no mapping's id is reused
+        traces = []
+        for trace in given:
             if trace.case_id in seen_cases:
                 raise ValueError(f"duplicate case id {trace.case_id!r}")
             seen_cases.add(trace.case_id)
-            if trace.activities and trace.columns.keys() != expected:
-                raise ValueError(
-                    f"event in trace {trace.case_id!r} does not match the "
-                    f"log schema {self.schema!r}"
-                )
+            first = first_by_id.get(id(trace.columns))
+            if first is None:  # a new mapping: check it, then find its body
+                if trace.activities and trace.columns.keys() != expected:
+                    raise ValueError(
+                        f"event in trace {trace.case_id!r} does not match the "
+                        f"log schema {self.schema!r}"
+                    )
+                body = (trace.activities, trace.origins, *map(trace.columns.__getitem__, schema))
+                first = first_by_id[id(trace.columns)] = first_of.setdefault(body, trace)
+            if trace.columns is not first.columns:
+                trace = first._renamed(trace.case_id)
+            traces.append(trace)
+        object.__setattr__(self, "traces", tuple(traces))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -272,15 +289,13 @@ class EventLog:
 
 def _map_bodies(log: EventLog, build: Callable[[Trace], Trace]) -> EventLog:
     """``log`` with each trace replaced by ``build(trace)``, called once per
-    distinct body (keyed by its columns in schema order, since equal
-    attribute mappings may list their keys in different orders); every
-    later trace with that body gets the result under its own case id."""
-    schema = log.schema
-    first_of: dict[tuple, int] = {}  # body -> the position of its first trace
+    distinct body, that is once per ``columns`` mapping (see
+    :class:`EventLog`); every later trace with that body gets the result
+    under its own case id."""
+    first_of: dict[int, int] = {}  # id of a columns mapping -> position of its first trace
     traces: list[Trace] = []
     for position, trace in enumerate(log.traces):
-        body = (trace.activities, trace.origins, *map(trace.columns.__getitem__, schema))
-        first = first_of.setdefault(body, position)
+        first = first_of.setdefault(id(trace.columns), position)
         traces.append(
             build(trace) if first == position else traces[first]._renamed(trace.case_id)
         )

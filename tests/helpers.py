@@ -183,9 +183,10 @@ def random_instance(rng: random.Random, attrs: int = 2, depth: int = 3, **log_kw
     return log, activity, attribute_hierarchies
 
 
-def repeated_bodies(rng: random.Random, log: EventLog) -> EventLog:
-    """``log`` with one or two copies of some traces under new case ids,
-    shuffled in; a copy lists each event's attributes in reverse order."""
+def repeated_traces(rng: random.Random, log: EventLog) -> tuple[Trace, ...]:
+    """``log``'s traces with one or two copies of some under new case ids,
+    shuffled in; a copy is built from events, each listing its attributes
+    in reverse order, so it has a ``columns`` mapping of its own."""
     copies = [
         Trace(f"{trace.case_id}~{n}", tuple(
             Event(e.activity, dict(reversed(e.attributes.items())), e.origin_index)
@@ -196,7 +197,12 @@ def repeated_bodies(rng: random.Random, log: EventLog) -> EventLog:
     ]
     traces = list(log.traces) + copies
     rng.shuffle(traces)
-    return EventLog(log.schema, tuple(traces))
+    return tuple(traces)
+
+
+def repeated_bodies(rng: random.Random, log: EventLog) -> EventLog:
+    """The log of :func:`repeated_traces`."""
+    return EventLog(log.schema, repeated_traces(rng, log))
 
 
 def one_mapping_per_body(log: EventLog) -> bool:

@@ -175,6 +175,43 @@ def test_unwritable_report_stops_the_run_before_the_log_is_written(workdir, caps
     assert json.loads(report.read_text(encoding="utf-8"))["k"] == 2
 
 
+EXHAUSTED = (
+    "pmdg: warning: activity hierarchy exhausted: k=2 holds only with every activity "
+    "generalized to the wildcard; control-flow classes below k hold 3 traces at level 1\n"
+)
+
+
+def test_warning_is_one_pmdg_line_ahead_of_the_error(tmp_path, capsys):
+    # Three one-event cases with three activities: only ``⋆`` makes k=2.
+    (tmp_path / "log.csv").write_text("case,activity\n1,A\n2,B\n3,C\n", encoding="utf-8")
+    (tmp_path / "act.csv").write_text("A,A,⋆\nB,B,⋆\nC,C,⋆\n", encoding="utf-8")
+    (tmp_path / "config.yaml").write_text(
+        f"k: 2\nactivity_hierarchies: [{tmp_path / 'act.csv'}]\n", encoding="utf-8"
+    )
+    argv = ["anonymize", "--config", str(tmp_path / "config.yaml"),
+            "--in", str(tmp_path / "log.csv"), "--out"]
+    missing = tmp_path / "missing" / "a.csv"
+    assert main([*argv, str(missing)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(EXHAUSTED)
+    assert err[len(EXHAUSTED):].startswith(f"pmdg: i/o error: cannot write {missing}: ")
+    assert err.count("\n") == 2
+    assert main([*argv, str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().err == EXHAUSTED
+
+
+@pytest.mark.parametrize("spelled, header", [("Cafe\u0301", "Caf\u00e9"),
+                                             ("Caf\u00e9", "Cafe\u0301")])
+def test_validate_columns_match_the_header_in_either_unicode_form(
+    tmp_path, capsys, spelled, header
+):
+    path = tmp_path / "log.csv"
+    path.write_text(f"case,activity,{header},x\n1,A,GP,y\n2,A,GP,z\n", encoding="utf-8")
+    assert main(["validate", "--in", str(path), "--k", "2", "--attr", spelled,
+                 "--columns", spelled]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_exit_codes(workdir, capsys):
     assert main([
         "validate", "--in", str(workdir / "log.csv"), "--k", "1", "--attr", "role",

@@ -109,8 +109,20 @@ def _run(argv, capsys):
     return code, capsys.readouterr().err
 
 
+WARNING = "pmdg: warning: "
+
+
+def _warnings_only(err):
+    """Does stderr hold nothing but ``pmdg: warning: `` lines?"""
+    *lines, rest = err.split("\n")
+    return rest == "" and all(line.startswith(WARNING) for line in lines)
+
+
 def _check_failure(err, out):
-    assert err.startswith("pmdg: ") and err.count("\n") == 1, err
+    """An error exit prints its one ``pmdg: `` line last, after warnings only."""
+    *warnings, last, rest = err.split("\n")
+    assert rest == "" and last.startswith("pmdg: ") and not last.startswith(WARNING), err
+    assert all(line.startswith(WARNING) for line in warnings), err
     assert "Traceback" not in err
     assert out is None or not out.exists()
 
@@ -165,7 +177,7 @@ def test_generated_hierarchy_and_config_files_exit_as_documented(
         if code:
             _check_failure(err, out)
         else:
-            assert err == "" and out.exists()
+            assert _warnings_only(err) and out.exists(), err
             assert _run(["validate", "--in", str(out), "--k", "2", "--attr", "role",
                          "--wildcard-literal", config.get("wildcard", WILDCARD)],
                         capsys)[0] == 0

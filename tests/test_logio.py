@@ -34,7 +34,7 @@ from pmdg import (
     write_log_csv,
 )
 
-from helpers import random_instance
+from helpers import one_mapping_per_body, random_instance, repeated_bodies
 from test_cli_properties import WRONG
 
 
@@ -190,6 +190,32 @@ def test_write_log_csv_finds_attribute_columns_by_their_nfc_form(tmp_path):
     out = tmp_path / "out.csv"
     write_log_csv(log, out, spec)
     assert out.read_bytes() == path.read_bytes()
+
+
+COMPOSED, DECOMPOSED = "Caf\u00e9", "Cafe\u0301"
+
+
+@pytest.mark.parametrize("spelled, header", [(DECOMPOSED, COMPOSED), (COMPOSED, DECOMPOSED)])
+def test_read_log_csv_finds_columns_in_either_unicode_form(tmp_path, spelled, header):
+    path = write(tmp_path / "log.csv", f"{header}1,{header}2,{header}3,x\n1,A,y,z\n")
+    spec = LogCsvSpec(f"{spelled}1", f"{spelled}2", (f"{spelled}3",))
+    log = read_log_csv(path, spec)
+    assert log.schema == (f"{COMPOSED}3",)
+    assert [(t.case_id, t.activities, t.columns[f"{COMPOSED}3"]) for t in log] == [
+        ("1", ("A",), ("y",))
+    ]
+    # By default every column but the keys, in either form, is an attribute.
+    assert read_log_csv(path, LogCsvSpec(f"{spelled}1", f"{spelled}2")).schema == (
+        f"{COMPOSED}3", "x"
+    )
+    # A missing column is named as the spec spells it.
+    with pytest.raises(MissingColumn, match=f"no column '{spelled}4'"):
+        read_log_csv(path, LogCsvSpec(f"{spelled}1", f"{spelled}2", (f"{spelled}4",)))
+    # Written with one spelling, read back with the other.
+    out = tmp_path / "out.csv"
+    write_log_csv(log, out, LogCsvSpec(f"{header}1", f"{header}2", (f"{header}3",)))
+    assert read_log_csv(out, spec) == log
+    assert read_log_csv(out, LogCsvSpec(f"{spelled}1", f"{spelled}2")) == log
 
 
 XES = """<?xml version="1.0" encoding="UTF-8"?>
@@ -513,7 +539,7 @@ def test_pipeline_config_checks_every_setting_however_it_is_built(tmp_path, key,
 @pytest.mark.parametrize(
     "settings",
     [{"case_column": 5}, {"activity_column": None}, {"attribute_columns": (1,)},
-     {"attribute_columns": "role"}],
+     {"attribute_columns": "role"}, {"attribute_columns": ("Caf\u00e9", "Cafe\u0301")}],
     ids=repr,
 )
 def test_log_csv_spec_built_in_code_rejects_wrong_settings(settings):
@@ -595,3 +621,20 @@ def test_readers_and_apply_to_log_share_one_tuple_per_distinct_column(tmp_path):
         for log in (from_csv, from_xes, vectorize_msa(from_xes)):
             assert _one_object_per_distinct_column(log)
             assert _one_object_per_distinct_column(apply_to_log(log, levels, activity, attributes))
+
+
+def test_readers_hold_one_columns_mapping_per_repeated_body(tmp_path):
+    rng = random.Random(29)
+    for i in range(10):
+        raw = random_instance(rng)[0]
+        # Every case at least twice, so the files repeat bodies.
+        raw = repeated_bodies(rng, EventLog(raw.schema, raw.traces + tuple(
+            Trace(f"{t.case_id}b", t.events) for t in raw.traces
+        )))
+        csv_path = tmp_path / f"log{i}.csv"
+        write_log_csv(raw, csv_path)
+        from_xes = read_log_xes(write(tmp_path / f"log{i}.xes", _xes_of(raw)))
+        for log in (read_log_csv(csv_path), from_xes):
+            assert [t.case_id for t in log.traces] == [t.case_id for t in raw.traces]
+            assert one_mapping_per_body(log)
+            assert len({id(t.columns) for t in log.traces}) <= len(raw.traces) // 2

@@ -26,7 +26,14 @@ from pmdg import (
     variants,
 )
 
-from helpers import clinic_hierarchies, clinic_log, oracle_class_sizes, random_instance
+from helpers import (
+    clinic_hierarchies,
+    clinic_log,
+    one_mapping_per_body,
+    oracle_class_sizes,
+    random_instance,
+    repeated_traces,
+)
 
 
 def test_control_flow_clinic_case():
@@ -261,6 +268,24 @@ def test_eventlog_validates_schema_and_cases():
             schema=("r",),
             traces=(Trace("1", (event,)), Trace("1", (event,))),
         )
+
+
+def test_eventlog_holds_one_columns_mapping_per_body():
+    rng = random.Random(23)
+    for _ in range(20):
+        raw = random_instance(rng)[0]
+        given = repeated_traces(rng, raw) + (Trace("empty", ()), Trace("void", ()))
+        log = EventLog(raw.schema, given)
+        assert one_mapping_per_body(log)
+        assert log.traces == given
+        assert [t.case_id for t in log.traces] == [t.case_id for t in given]
+        # Fresh traces from a one-pass iterable, each dropped once it is
+        # renamed: no later mapping may pass for a dropped one.
+        fresh = EventLog(raw.schema, (
+            Trace.from_columns(t.case_id, t.activities, t.columns, t.origins) for t in given
+        ))
+        assert one_mapping_per_body(fresh)
+        assert fresh == log
 
 
 def test_missing_literal_is_a_normal_value_for_grouping():

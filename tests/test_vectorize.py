@@ -224,6 +224,7 @@ def test_vectorize_properties_random():
         Trace("s1", (Event("a", {"x": "1", "y": "2"}),)),
         Trace("s2", (Event("a", {"y": "1", "x": "2"}),)),
     ))
+    assert swapped.traces[0].columns is not swapped.traces[1].columns
     logs = [swapped] + [repeated_bodies(rng, random_instance(rng)[0]) for _ in range(25)]
     for log in logs:
         longest = max(len(t) for t in log.traces)
