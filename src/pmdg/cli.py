@@ -143,8 +143,9 @@ def run_pipeline(
     ``k`` overrides the configured threshold, checked as the config's
     own; ``config_sha256`` digests the settings as given.  The anonymized
     log goes to ``output_path`` (CSV) and the manifest additionally to
-    ``report_path`` (JSON) when given.  The report is opened first, so
-    one that cannot be written raises :class:`IoFailure` before the log
+    ``report_path`` (JSON) when given.  A missing directory of either
+    raises :class:`IoFailure` right after the read; the report is opened
+    first, so one that cannot be written stops the run before the log
     file is made.
     """
     config_sha256 = _sha256_config(config)
@@ -156,6 +157,9 @@ def run_pipeline(
     log = _read_log(input_path, config.csv, config.wildcard)
     if output_path is not None:  # fail before the work, not at the write
         _written_attributes(log, output_path, config.csv)
+    for path in (output_path, report_path):
+        if path is not None and not Path(path).parent.is_dir():
+            raise IoFailure(f"cannot write {path}: {str(Path(path).parent)!r} is not a directory")
     _check_attributes(log, config.quasi_identifiers)
     traces_read = len(log.traces)
     if config.drop_singletons:

@@ -272,8 +272,8 @@ def apply_to_log(
     unknown value raises :class:`~pmdg.errors.UnknownValue` wherever it
     stands: the first in the first trace that holds one, its activities
     read before its attribute columns in schema order.  Equal image
-    columns share one tuple; the result, an :class:`EventLog`, holds one
-    ``columns`` mapping per distinct image body.
+    columns share one tuple; :func:`~pmdg.model._map_bodies` keys each
+    image body once and renames each case at most once.
     """
     attribute_hierarchies = attribute_hierarchies or {}
     _check_attributes(log, levels.attribute_levels)

@@ -29,8 +29,8 @@ made of classes of at least k cases with one body each, so an
 :class:`EventLog` holds one ``columns`` mapping per distinct body: the
 first case with a body is kept as given, and every later one is stored
 as that trace renamed, sharing its columns.  A mapping always belongs to
-one body, so every pass recognizes a repeated body by the identity of
-its mapping and does its work once per distinct body.
+one body, so one body loop builds every log and runs each pass's work
+once per mapping, keying each result once, renaming a case at most once.
 
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare
@@ -243,9 +243,8 @@ class EventLog:
     activities, origins and columns in schema order) equals an earlier
     trace's is stored as that earlier trace renamed, so the log holds one
     ``columns`` mapping per distinct body; traces and case ids keep their
-    order, and the log equals the traces as given.  A trace whose mapping
-    is already in the log needs no body key, so a log that a pass built
-    costs one key per distinct mapping.
+    order, and the log equals the traces as given.  A pass's output is
+    keyed once, inside the pass (see :func:`_map_bodies`).
     """
 
     schema: tuple[str, ...]
@@ -256,29 +255,7 @@ class EventLog:
         object.__setattr__(self, "schema", schema)
         if len(set(schema)) != len(schema):
             raise ValueError("schema attribute names must be unique")
-        expected = set(schema)
-        seen_cases: set[str] = set()
-        first_of: dict[tuple, Trace] = {}  # body -> its first trace
-        first_by_id: dict[int, Trace] = {}  # id of a columns mapping -> its body's first trace
-        given = tuple(self.traces)  # alive through the loop, so no mapping's id is reused
-        traces = []
-        for trace in given:
-            if trace.case_id in seen_cases:
-                raise ValueError(f"duplicate case id {trace.case_id!r}")
-            seen_cases.add(trace.case_id)
-            first = first_by_id.get(id(trace.columns))
-            if first is None:  # a new mapping: check it, then find its body
-                if trace.activities and trace.columns.keys() != expected:
-                    raise ValueError(
-                        f"event in trace {trace.case_id!r} does not match the "
-                        f"log schema {self.schema!r}"
-                    )
-                body = (trace.activities, trace.origins, *map(trace.columns.__getitem__, schema))
-                first = first_by_id[id(trace.columns)] = first_of.setdefault(body, trace)
-            if trace.columns is not first.columns:
-                trace = first._renamed(trace.case_id)
-            traces.append(trace)
-        object.__setattr__(self, "traces", tuple(traces))
+        object.__setattr__(self, "traces", _bodies(schema, self.traces))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -287,19 +264,46 @@ class EventLog:
         return iter(self.traces)
 
 
+def _bodies(schema: tuple[str, ...], traces: Iterable[Trace],
+            build: Callable[[Trace], Trace] | None = None) -> tuple[Trace, ...]:
+    """The one body loop: ``traces`` as a log with this schema stores them,
+    each replaced by ``build(trace)`` if given, which keeps the case id,
+    reads only the body and runs once per ``columns`` mapping.  Each built
+    trace is checked and keyed by its body, and every case is stored as
+    its body's first trace, renamed at most once."""
+    expected = set(schema)
+    seen_cases: set[str] = set()
+    first_of: dict[tuple, Trace] = {}  # body -> its first trace
+    first_by_id: dict[int, Trace] = {}  # id of a given columns mapping -> its body's first trace
+    given = tuple(traces)  # alive through the loop, so no mapping's id is reused
+    stored = []
+    for trace in given:
+        if trace.case_id in seen_cases:
+            raise ValueError(f"duplicate case id {trace.case_id!r}")
+        seen_cases.add(trace.case_id)
+        mapping = id(trace.columns)
+        first = first_by_id.get(mapping)
+        if first is None:  # a new mapping: build and check it, then find its body
+            trace = trace if build is None else build(trace)
+            if trace.activities and trace.columns.keys() != expected:
+                raise ValueError(f"event in trace {trace.case_id!r} does not match the "
+                                 f"log schema {schema!r}")
+            body = (trace.activities, trace.origins, *map(trace.columns.__getitem__, schema))
+            first = first_by_id[mapping] = first_of.setdefault(body, trace)
+        if trace.columns is not first.columns:
+            trace = first._renamed(trace.case_id)
+        stored.append(trace)
+    return tuple(stored)
+
+
 def _map_bodies(log: EventLog, build: Callable[[Trace], Trace]) -> EventLog:
     """``log`` with each trace replaced by ``build(trace)``, called once per
-    distinct body, that is once per ``columns`` mapping (see
-    :class:`EventLog`); every later trace with that body gets the result
-    under its own case id."""
-    first_of: dict[int, int] = {}  # id of a columns mapping -> position of its first trace
-    traces: list[Trace] = []
-    for position, trace in enumerate(log.traces):
-        first = first_of.setdefault(id(trace.columns), position)
-        traces.append(
-            build(trace) if first == position else traces[first]._renamed(trace.case_id)
-        )
-    return EventLog(schema=log.schema, traces=tuple(traces))
+    distinct body; :func:`_bodies` keys the result once, so it is wrapped
+    as an :class:`EventLog` without running that loop again."""
+    mapped = EventLog.__new__(EventLog)
+    object.__setattr__(mapped, "schema", log.schema)
+    object.__setattr__(mapped, "traces", _bodies(log.schema, log.traces, build))
+    return mapped
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,9 @@ def _gather(slots: Sequence[int], width: int) -> Callable[[tuple], tuple]:
 def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) -> EventLog:
     """Spread each trace's columns by ``gather_of(trace)`` (see
     :func:`_gather`), filling the other columns with wildcard padding,
-    once per distinct trace body.  A real event without an origin gets its
-    position in the input trace."""
+    once per distinct trace body through :func:`~pmdg.model._map_bodies`,
+    which keys each output body once.  A real event without an origin
+    gets its position in the input trace."""
     # (spread, column, filler) -> the output column, once per distinct key
     placed = _Memo(lambda key: key[0]((*key[1], key[2])))
 

@@ -164,10 +164,10 @@ def test_unwritable_report_stops_the_run_before_the_log_is_written(workdir, caps
     assert err.startswith(f"pmdg: i/o error: cannot write {report}: ")
     assert err.count("\n") == 1 and not out.exists()
 
-    # A log that cannot be written leaves no empty report behind.
+    # A log that cannot be written (here, a directory) leaves no empty
+    # report behind.
     report = workdir / "run.json"
-    assert main(argv + ["--out", str(workdir / "no" / "anon.csv"),
-                        "--report", str(report)]) == 5
+    assert main(argv + ["--out", str(workdir), "--report", str(report)]) == 5
     assert not report.exists()
 
     # Given one path for both, the file holds the report, written last.
@@ -181,23 +181,48 @@ EXHAUSTED = (
 )
 
 
-def test_warning_is_one_pmdg_line_ahead_of_the_error(tmp_path, capsys):
-    # Three one-event cases with three activities: only ``⋆`` makes k=2.
+def _exhausting_run(tmp_path):
+    """The start of an ``anonymize`` command line on three one-event cases
+    with three activities, where only ``⋆`` makes k=2: the search warns."""
     (tmp_path / "log.csv").write_text("case,activity\n1,A\n2,B\n3,C\n", encoding="utf-8")
     (tmp_path / "act.csv").write_text("A,A,⋆\nB,B,⋆\nC,C,⋆\n", encoding="utf-8")
     (tmp_path / "config.yaml").write_text(
         f"k: 2\nactivity_hierarchies: [{tmp_path / 'act.csv'}]\n", encoding="utf-8"
     )
-    argv = ["anonymize", "--config", str(tmp_path / "config.yaml"),
-            "--in", str(tmp_path / "log.csv"), "--out"]
-    missing = tmp_path / "missing" / "a.csv"
-    assert main([*argv, str(missing)]) == 5
+    return ["anonymize", "--config", str(tmp_path / "config.yaml"),
+            "--in", str(tmp_path / "log.csv")]
+
+
+def test_warning_is_one_pmdg_line_ahead_of_the_error(tmp_path, capsys):
+    argv = [*_exhausting_run(tmp_path), "--out"]
+    # A directory as the output fails only at the write, after the search.
+    assert main([*argv, str(tmp_path)]) == 5
     err = capsys.readouterr().err
     assert err.startswith(EXHAUSTED)
-    assert err[len(EXHAUSTED):].startswith(f"pmdg: i/o error: cannot write {missing}: ")
+    assert err[len(EXHAUSTED):].startswith(f"pmdg: i/o error: cannot write {tmp_path}: ")
     assert err.count("\n") == 2
     assert main([*argv, str(tmp_path / "a.csv")]) == 0
     assert capsys.readouterr().err == EXHAUSTED
+
+
+@pytest.mark.parametrize("option", ["--out", "--report"])
+def test_missing_output_directory_stops_the_run_right_after_the_read(
+    tmp_path, monkeypatch, capsys, option
+):
+    def refused(log):
+        raise AssertionError("vectorized before the output directory was checked")
+
+    monkeypatch.setattr("pmdg.cli.STRATEGIES", dict.fromkeys(STRATEGIES, refused))
+    argv = _exhausting_run(tmp_path)
+    given = sorted(tmp_path.iterdir())
+    missing = tmp_path / "missing" / "a"
+    paths = {"--out": tmp_path / "a.csv", "--report": tmp_path / "r.json", option: missing}
+    assert main([*argv, *(str(part) for pair in paths.items() for part in pair)]) == 5
+    err = capsys.readouterr().err
+    # One line: the search, which would warn first, never ran.
+    assert err.startswith(f"pmdg: i/o error: cannot write {missing}: ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == given
 
 
 @pytest.mark.parametrize("spelled, header", [("Cafe\u0301", "Caf\u00e9"),

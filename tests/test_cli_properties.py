@@ -233,7 +233,7 @@ LOG_CODES = {
     "valid": {"validate": {0}, "validate-big-k": {1}, "anonymize-big-k": {4},
               "anonymize": {0}, "anonymize-missing-dir": {5}, "hp": {0}},
     "unknown": {"validate": {0}, "validate-big-k": {1}, "anonymize-big-k": {4},
-                "anonymize": {3}, "anonymize-missing-dir": {3}, "hp": {0, 3}},
+                "anonymize": {3}, "anonymize-missing-dir": {5}, "hp": {0, 3}},
     "ragged": dict.fromkeys(["validate", "validate-big-k", "anonymize-big-k", "anonymize",
                              "anonymize-missing-dir", "hp"], {3}),
 }

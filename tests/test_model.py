@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmdg import (
     MISSING,
@@ -25,6 +27,7 @@ from pmdg import (
     validate_k,
     variants,
 )
+from pmdg.model import _map_bodies
 
 from helpers import (
     clinic_hierarchies,
@@ -32,6 +35,7 @@ from helpers import (
     one_mapping_per_body,
     oracle_class_sizes,
     random_instance,
+    repeated_bodies,
     repeated_traces,
 )
 
@@ -286,6 +290,57 @@ def test_eventlog_holds_one_columns_mapping_per_body():
         ))
         assert one_mapping_per_body(fresh)
         assert fresh == log
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["apply_to_log", "constant", "from_columns"]))
+def test_map_bodies_builds_once_per_mapping_and_renames_once_per_case(seed, kind):
+    rng = random.Random(seed)
+    raw, activity, attribute_hierarchies = random_instance(rng)
+    log = repeated_bodies(rng, raw)
+    node = LevelVector(rng.randint(0, activity.depth), {
+        attr: rng.randint(0, h.depth) for attr, h in attribute_hierarchies.items()
+    })
+
+    def generalize(given: EventLog) -> EventLog:
+        return apply_to_log(given, node, activity, attribute_hierarchies)
+
+    build = {
+        "apply_to_log": lambda t: generalize(EventLog(log.schema, (t,))).traces[0],
+        "constant": lambda t: Trace.from_columns(
+            t.case_id, ("A",), dict.fromkeys(log.schema, ("x",))),
+        "from_columns": lambda t: Trace.from_columns(
+            t.case_id, t.activities, t.columns, t.origins),
+    }[kind]
+    oracle = EventLog(log.schema, [build(t) for t in log.traces])
+    built = []
+
+    def counted(trace: Trace) -> Trace:
+        built.append(trace.columns)
+        return build(trace)
+
+    runs = [lambda: _map_bodies(log, counted)]
+    if kind == "apply_to_log":
+        runs.append(lambda: generalize(log))
+    for run in runs:
+        renamed = Counter()
+        rename = Trace._renamed
+
+        def counted_rename(trace: Trace, case_id: str) -> Trace:
+            renamed[case_id] += 1
+            return rename(trace, case_id)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(Trace, "_renamed", counted_rename)
+            mapped = run()
+        assert mapped == oracle
+        assert one_mapping_per_body(mapped)
+        assert max(renamed.values(), default=0) <= 1
+        # Every case but its body's first is renamed.
+        assert sum(renamed.values()) == len(mapped) - len({id(t.columns) for t in mapped})
+    assert len(built) == len({id(columns) for columns in built})
+    assert len(built) == len({id(t.columns) for t in log.traces})
 
 
 def test_missing_literal_is_a_normal_value_for_grouping():
