@@ -251,7 +251,7 @@ def run_pipeline(
         drop_singletons=config.drop_singletons,
         traces_read=traces_read,
         traces_kept=traces_kept,
-        aligned_length=len(vectorized.traces[0]) if vectorized.traces else 0,
+        aligned_length=len(vectorized.traces[0]),
         chosen_hierarchies=chosen_paths,
         levels=result.chosen.as_dict(),
         nodes_evaluated=result.nodes_evaluated,

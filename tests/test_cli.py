@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -246,6 +248,26 @@ def test_validate_exit_codes(workdir, capsys):
     ]) == 1
     printed = capsys.readouterr().out
     assert "FAIL" in printed
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--k", "1", "--attr", "ghost"], 3,
+         "pmdg: data error: log has no attribute 'ghost'\n"),
+        (["--k", "0"], 2,
+         "pmdg: configuration error: k must be an integer >= 1, got 0\n"),
+    ],
+    ids=["data-error", "configuration-error"],
+)
+def test_exit_code_and_message_cross_the_process_boundary(workdir, argv, code, err):
+    # ``python -m pmdg`` runs whichever package the child imports: the
+    # source tree or an installed one, as ``PYTHONPATH`` says.
+    done = subprocess.run(
+        [sys.executable, "-m", "pmdg", "validate", "--in", str(workdir / "log.csv"), *argv],
+        capture_output=True, text=True, encoding="utf-8",
+    )
+    assert (done.returncode, done.stderr) == (code, err)
 
 
 def test_preprocess_and_vectorize_commands(workdir, capsys):
