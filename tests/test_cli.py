@@ -564,6 +564,130 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     assert not (workdir / "out.csv").exists()  # a failed run writes no output
 
 
+LATIN1_LOG = b"case,activity,role\n1,Caf\xe9,GP\n"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xe9 in position"
+CONFIG_KEYS = "k: 2\nactivity_hierarchies: [x]\n"
+ANONYMIZE = ["anonymize", "--config", "{d}/config.yaml", "--in", "{d}/log.csv",
+             "--out", "{d}/out.csv"]
+# Each file failure: the files it adds to ``workdir``, the command line,
+# the exit code and the exact stderr, with ``{d}`` for ``workdir``.  An
+# ``OSError``'s own text varies by platform, so a message ending in
+# ``[Errno`` is checked up to there.
+FILE_FAILURES = [
+    ("log-blank-line", {"blank.csv": "case,activity,role\n\n1,A,GP\n"},
+     ["validate", "--in", "{d}/blank.csv", "--k", "1"], 0, ""),
+    ("log-missing", {}, ["validate", "--in", "{d}/missing.csv", "--k", "1"], 5,
+     "pmdg: i/o error: cannot read {d}/missing.csv: [Errno"),
+    ("log-not-utf8", {"latin1.csv": LATIN1_LOG},
+     ["metrics", "variants", "--in", "{d}/latin1.csv"], 3,
+     f"pmdg: parse error: {{d}}/latin1.csv: not valid UTF-8: {NOT_UTF8} 24: "
+     "invalid continuation byte\n"),
+    ("log-malformed-csv", {"big.csv": f"case,activity\n1,{OVERSIZED_CELL}\n"},
+     ["metrics", "variants", "--in", "{d}/big.csv"], 3,
+     "pmdg: parse error: {d}/big.csv: malformed CSV: field larger than field limit "
+     "(131072)\n"),
+    ("log-empty-file", {"empty.csv": ""}, ["metrics", "variants", "--in", "{d}/empty.csv"],
+     3, "pmdg: parse error: {d}/empty.csv: file is empty\n"),
+    ("log-header-only", {"header.csv": "case,activity\n"},
+     ["metrics", "variants", "--in", "{d}/header.csv"], 3,
+     "pmdg: parse error: {d}/header.csv: no event rows\n"),
+    ("log-repeated-header", {"dup.csv": "case,activity,a,a\n1,A,x,y\n"},
+     ["metrics", "variants", "--in", "{d}/dup.csv"], 3,
+     "pmdg: parse error: {d}/dup.csv: header repeats a column name: "
+     "['case', 'activity', 'a', 'a']\n"),
+    ("log-missing-column", {"nokey.csv": "case,role\n1,GP\n"},
+     ["metrics", "variants", "--in", "{d}/nokey.csv"], 3,
+     "pmdg: parse error: {d}/nokey.csv: header has no column 'activity'\n"),
+    ("log-ragged-row", {"ragged.csv": "case,activity,role\n1,A\n"},
+     ["metrics", "variants", "--in", "{d}/ragged.csv"], 3,
+     "pmdg: parse error: {d}/ragged.csv: line 2 has 2 cells, expected 3\n"),
+    ("xes-missing", {}, ["validate", "--in", "{d}/missing.xes", "--k", "1"], 5,
+     "pmdg: i/o error: cannot read {d}/missing.xes: [Errno"),
+    ("xes-undefined-entity",
+     {"entity.xes": '<!DOCTYPE log SYSTEM "x.dtd"><log><trace><event>'
+                    '<string key="concept:name" value="A"/>&foo;</event></trace></log>'},
+     ["validate", "--in", "{d}/entity.xes", "--k", "1"], 3,
+     "pmdg: parse error: {d}/entity.xes: undefined entity &foo;\n"),
+    ("xes-truncated", {"cut.xes": TRUNCATED_XES},
+     ["validate", "--in", "{d}/cut.xes", "--k", "1"], 3,
+     "pmdg: parse error: {d}/cut.xes: no element found: line 1, column 125\n"),
+    ("xes-nameless-event",
+     {"nameless.xes": '<log><trace><string key="concept:name" value="c1"/>'
+                      "<event/></trace></log>"},
+     ["validate", "--in", "{d}/nameless.xes", "--k", "1"], 3,
+     "pmdg: parse error: {d}/nameless.xes: event without concept:name in trace 'c1'\n"),
+    ("xes-no-events", {"empty.xes": EMPTY_XES},
+     ["validate", "--in", "{d}/empty.xes", "--k", "1"], 3,
+     "pmdg: parse error: {d}/empty.xes: no events\n"),
+    ("hierarchy-missing", {},
+     ["select-hierarchy", "--in", "{d}/log.csv", "--perspective", "role",
+      "--candidates", "{d}/missing.csv"], 5,
+     "pmdg: i/o error: cannot read {d}/missing.csv: [Errno"),
+    ("hierarchy-not-utf8", {"latin1.csv": b"Admin,Adm\xefn,*\n"},
+     ["select-hierarchy", "--in", "{d}/log.csv", "--perspective", "role",
+      "--candidates", "{d}/latin1.csv"], 3,
+     f"pmdg: parse error: {{d}}/latin1.csv: not valid UTF-8: "
+     f"{NOT_UTF8.replace('e9', 'ef')} 9: invalid continuation byte\n"),
+    ("hierarchy-malformed-csv", {"big.csv": f"{OVERSIZED_CELL},⋆\n"},
+     ["select-hierarchy", "--in", "{d}/log.csv", "--perspective", "role",
+      "--candidates", "{d}/big.csv"], 3,
+     "pmdg: parse error: {d}/big.csv: malformed CSV: field larger than field limit "
+     "(131072)\n"),
+    ("hierarchy-no-root", {"rootless.csv": "GP,Staff\n"},
+     ["select-hierarchy", "--in", "{d}/log.csv", "--perspective", "role",
+      "--candidates", "{d}/rootless.csv"], 3,
+     "pmdg: parse error: {d}/rootless.csv: row 1 ends in 'Staff', expected the "
+     "wildcard '⋆'\n"),
+    ("hierarchy-empty", {"empty.csv": "\n"},
+     ["select-hierarchy", "--in", "{d}/log.csv", "--perspective", "role",
+      "--candidates", "{d}/empty.csv"], 3,
+     "pmdg: parse error: {d}/empty.csv: hierarchy table has no rows\n"),
+    ("config-missing", {}, [*ANONYMIZE[:2], "{d}/missing.yaml", *ANONYMIZE[3:]], 5,
+     "pmdg: i/o error: cannot read {d}/missing.yaml: [Errno"),
+    ("config-not-utf8", {"config.yaml": b"k: 2\n# caf\xe9\n"}, ANONYMIZE, 2,
+     f"pmdg: configuration error: {{d}}/config.yaml: not valid UTF-8: {NOT_UTF8} 10: "
+     "invalid continuation byte\n"),
+    ("config-not-a-mapping", {"config.yaml": "- 2\n"}, ANONYMIZE, 2,
+     "pmdg: configuration error: {d}/config.yaml: top level must be a mapping\n"),
+    ("config-bad-k", {"config.yaml": CONFIG_KEYS.replace("2", "0")}, ANONYMIZE, 2,
+     "pmdg: configuration error: {d}/config.yaml: k must be an integer >= 1, got 0\n"),
+    ("config-bad-csv", {"config.yaml": CONFIG_KEYS + "csv: {case_column: activity}\n"},
+     ANONYMIZE, 2,
+     "pmdg: configuration error: {d}/config.yaml: case and activity column are both "
+     "'activity'\n"),
+    ("out-is-a-directory", {}, ["vectorize", "--in", "{d}/log.csv", "--out", "{d}"], 5,
+     "pmdg: i/o error: cannot write {d}: [Errno"),
+    ("out-in-missing-directory", {},
+     ["preprocess", "--in", "{d}/log.csv", "--out", "{d}/no/out.csv"], 5,
+     "pmdg: i/o error: cannot write {d}/no/out.csv: [Errno"),
+    ("dot-is-a-directory", {},
+     ["metrics", "handover-graph", "--in", "{d}/log.csv", "--attr", "role", "--dot", "{d}"],
+     5, "pmdg: i/o error: cannot write {d}: [Errno"),
+    ("report-is-a-directory", {}, [*ANONYMIZE, "--report", "{d}"], 5,
+     "pmdg: i/o error: cannot write {d}: [Errno"),
+]
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, err", [row[1:] for row in FILE_FAILURES],
+    ids=[row[0] for row in FILE_FAILURES],
+)
+def test_file_failure_exit_code_and_exact_message(workdir, capsys, files, argv, code, err):
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (workdir / name).write_bytes(content)
+        else:
+            (workdir / name).write_text(content, encoding="utf-8")
+    assert main([arg.format(d=workdir) for arg in argv]) == code
+    printed = capsys.readouterr().err
+    err = err.format(d=workdir)
+    if err.endswith("[Errno"):
+        assert printed.startswith(err) and printed.count("\n") == 1, printed
+    else:
+        assert printed == err
+    assert not (workdir / "out.csv").exists()  # a failed run writes no log
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
