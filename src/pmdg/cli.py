@@ -7,8 +7,9 @@ the end-to-end ``anonymize`` run driven by a YAML configuration.
 Exit codes: 0 success, 1 failed validation, 2 configuration or usage
 error, 3 input parse error or input that does not fit the hierarchies
 or arguments, 4 privacy requirement unsatisfiable (fewer traces than
-k), 5 I/O failure.  Each error is one ``pmdg: `` line on stderr; warnings
-come before it, one ``pmdg: warning: `` line each.
+k), 5 I/O failure.  Each error is one ``pmdg: `` line on stderr, its
+message's line breaks printed as ``; ``; warnings come before it, one
+``pmdg: warning: `` line each.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import re
 import sys
 import time
 from collections import Counter
@@ -40,6 +42,7 @@ from .logio import (
     check_k,
     check_level_weights,
     check_wildcard,
+    file_faults,
     load_config,
     read_hierarchy,
     read_log_csv,
@@ -91,7 +94,7 @@ class RunManifest:
 
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with file_faults(path), open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -221,10 +224,8 @@ def run_pipeline(
     # written stops the run before it makes the log file.
     report = None
     if report_path is not None:
-        try:
+        with file_faults(report_path, "write"):
             report = open(report_path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {report_path}: {exc}") from exc
     if output_path is not None:
         started = time.perf_counter()
         try:
@@ -265,7 +266,7 @@ def run_pipeline(
         timings_s=timings,
     )
     if report is not None:
-        with report:
+        with file_faults(report_path, "write"), report:
             report.write(manifest.to_json() + "\n")
             report.truncate()  # in case the log went to the same path
     return manifest
@@ -496,7 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(exc, kind))
-        print(f"pmdg: {prefix}{exc}", file=sys.stderr)
+        message = re.sub(r"\s*[\r\n]\s*", "; ", str(exc))
+        print(f"pmdg: {prefix}{message}", file=sys.stderr)
         return code
     finally:
         logger.removeHandler(warnings)

@@ -27,6 +27,11 @@ on their NFC form, so the two Unicode spellings of a name are one case
 id, and so are attribute names.  A log file without events raises
 :class:`EmptyLog`.  Both CSV readers skip a leading UTF-8 byte-order
 mark; the writer writes none.
+
+Every read and write of a file in the package runs inside
+:func:`file_faults`, the one map from a file's failures (OS, codec, CSV,
+XML and YAML) to the pmdg errors that name it.  So a reader raises its
+own faults without the path, and the map puts ``path: `` in front.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import filterfalse, repeat
 from operator import itemgetter
@@ -109,13 +115,14 @@ def check_level_weights(raw: object, label: str) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class LogCsvSpec:
     """Column layout of a log CSV file, checked however it is built.  The
-    delimiter is one character and the column names are strings; a list
-    of attribute columns is kept as a tuple, and ``None`` means every
-    non-key header column.  Names match a header, and each other, in
-    NFC form: the attribute columns do not repeat a name, and the two
-    key columns, case and activity, differ from each other and from every
-    attribute column.  A spec that breaks a rule raises
-    :class:`ConfigError`."""
+    delimiter is one character other than ``"``, ``\\r``, ``\\n`` and NUL,
+    which the ``csv`` module rejects on some Python versions, and the
+    column names are strings; a list of attribute columns is kept as a
+    tuple, and ``None`` means every non-key header column.  Names match a
+    header, and each other, in NFC form: the attribute columns do not
+    repeat a name, and the two key columns, case and activity, differ from
+    each other and from every attribute column.  A spec that breaks a rule
+    raises :class:`ConfigError`."""
 
     case_column: str = "case"
     activity_column: str = "activity"
@@ -123,8 +130,10 @@ class LogCsvSpec:
     delimiter: str = ","
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.delimiter, str) and len(self.delimiter) == 1,
-                 f"delimiter must be a single character, got {self.delimiter!r}")
+        _require(isinstance(self.delimiter, str) and len(self.delimiter) == 1
+                 and self.delimiter not in '"\r\n\0',
+                 "delimiter must be a single character other than a double quote, "
+                 f"a line break or NUL, got {self.delimiter!r}")
         for key in ("case_column", "activity_column"):
             _require(isinstance(getattr(self, key), str), f"{key} must be a column name")
         columns = self.attribute_columns
@@ -171,6 +180,32 @@ def _cells(wildcard: str) -> _Memo:
     return _Memo(lambda raw: values[_nfc(_canonical(raw, wildcard))])
 
 
+@contextmanager
+def file_faults(path: str | Path, verb: str = "read", *,
+                undecodable: type = ParseError) -> Iterator[None]:
+    """Run a block that reads or writes (``verb``) ``path``, turning an
+    ``OSError`` into :class:`IoFailure`, text that is not UTF-8 into
+    ``undecodable``, a CSV, XML or YAML fault into :class:`ParseError`,
+    :class:`MalformedXml` or :class:`ConfigError`, each naming the file.
+    A :class:`ParseError` or :class:`ConfigError` raised in the block gets
+    ``path: `` in front; any other exception passes as it is."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot {verb} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise undecodable(f"{path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: malformed CSV: {exc}") from exc
+    except expat.ExpatError as exc:
+        raise MalformedXml(f"{path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except (ParseError, ConfigError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_log_csv(
     path: str | Path, spec: LogCsvSpec | None = None, *, wildcard: str = WILDCARD
 ) -> EventLog:
@@ -194,45 +229,36 @@ def read_log_csv(
     share = _Memo().__getitem__
     cases: dict[str, list[tuple[str, ...]]] = {}  # NFC case id -> its rows
     rows_of = _Memo(lambda raw: cases.setdefault(_nfc(raw), []))
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle, delimiter=spec.delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyLog(f"{path}: file is empty") from None
-            at = {name: i for i, name in enumerate(map(_nfc, header))}  # NFC name -> index
-            if len(at) != len(header):
-                raise ParseError(f"{path}: header repeats a column name: {header}")
-            schema = spec.resolve_attributes(header)
-            for column in (spec.case_column, spec.activity_column, *schema):
-                if _nfc(column) not in at:
-                    raise MissingColumn(f"{path}: header has no column {column!r}")
-            case_at, width = at[_nfc(spec.case_column)], len(header)
-            pick = itemgetter(  # a trailing extra index: always a tuple
-                at[_nfc(spec.activity_column)],
-                *(at[_nfc(name)] for name in schema),
-                0,
-            )
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise RaggedRow(
-                        f"{path}: line {reader.line_num} has {len(row)} cells, "
-                        f"expected {width}"
-                    )
-                cells_of_row = map(cells.__getitem__, pick(row)[:-1])
-                rows_of[row[case_at]].append(share(tuple(cells_of_row)))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
-    except csv.Error as exc:
-        raise ParseError(f"{path}: malformed CSV: {exc}") from exc
-
-    if not cases:
-        raise EmptyLog(f"{path}: no event rows")
+    with file_faults(path), open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle, delimiter=spec.delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyLog("file is empty") from None
+        at = {name: i for i, name in enumerate(map(_nfc, header))}  # NFC name -> index
+        if len(at) != len(header):
+            raise ParseError(f"header repeats a column name: {header}")
+        schema = spec.resolve_attributes(header)
+        for column in (spec.case_column, spec.activity_column, *schema):
+            if _nfc(column) not in at:
+                raise MissingColumn(f"header has no column {column!r}")
+        case_at, width = at[_nfc(spec.case_column)], len(header)
+        pick = itemgetter(  # a trailing extra index: always a tuple
+            at[_nfc(spec.activity_column)],
+            *(at[_nfc(name)] for name in schema),
+            0,
+        )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise RaggedRow(
+                    f"line {reader.line_num} has {len(row)} cells, expected {width}"
+                )
+            cells_of_row = map(cells.__getitem__, pick(row)[:-1])
+            rows_of[row[case_at]].append(share(tuple(cells_of_row)))
+        if not cases:
+            raise EmptyLog("no event rows")
     schema = tuple(map(_nfc, schema))
     traces = []
     for case_id, rows in cases.items():
@@ -302,27 +328,24 @@ def write_log_csv(
 
     first_of: dict[int, int] = {}  # id of a columns mapping -> position of its first trace
     rows_of: dict[int, list[str]] = {}  # that position -> "" and the body's rows
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, delimiter=spec.delimiter, lineterminator="\n")
-            writer.writerow(header)
-            for position, trace in enumerate(log.traces):
-                first = first_of.setdefault(id(trace.columns), position)
-                if first == position or first not in rows_of:
-                    columns = [trace.activities, *map(trace.columns.__getitem__, keys)]
-                    if wildcard != WILDCARD:
-                        columns = [tuple(map(render, column)) for column in columns]
-                    if first == position:  # first sight
-                        writer.writerows(zip(repeat(trace.case_id), *columns))
-                        continue
-                    rows_of[first] = ["", *map(rendered, zip(repeat(""), *columns))]
-                # The case id's field: drop the delimiter and the line end.
-                handle.write(rendered((trace.case_id, ""))[:-2].join(rows_of[first]))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with file_faults(path, "write"), open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, delimiter=spec.delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for position, trace in enumerate(log.traces):
+            first = first_of.setdefault(id(trace.columns), position)
+            if first == position or first not in rows_of:
+                columns = [trace.activities, *map(trace.columns.__getitem__, keys)]
+                if wildcard != WILDCARD:
+                    columns = [tuple(map(render, column)) for column in columns]
+                if first == position:  # first sight
+                    writer.writerows(zip(repeat(trace.case_id), *columns))
+                    continue
+                rows_of[first] = ["", *map(rendered, zip(repeat(""), *columns))]
+            # The case id's field: drop the delimiter and the line end.
+            handle.write(rendered((trace.case_id, ""))[:-2].join(rows_of[first]))
 
 
-def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo, share: _Memo) -> tuple:
+def _parse_xes(handle: BinaryIO, cells: _Memo, share: _Memo) -> tuple:
     """The traces with events of an XES file, each as its NFC case id, its
     activities and its columns for the keys seen by its end, and the NFC
     attribute keys in order of first sight.
@@ -380,7 +403,7 @@ def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo, share: _Memo) -
             if case_id is not None:
                 if nameless is not None:
                     raise MissingConceptName(
-                        f"{path}: event without concept:name in trace {nameless!r}"
+                        f"event without concept:name in trace {nameless!r}"
                     )
                 if activities:
                     traces.append((_nfc(case_id), share[tuple(activities)], {
@@ -393,7 +416,7 @@ def _parse_xes(handle: BinaryIO, path: str | Path, cells: _Memo, share: _Memo) -
 
     def skipped(entity: str, is_parameter_entity: bool) -> None:
         if not is_parameter_entity:  # ``ElementTree`` rejects it too
-            raise MalformedXml(f"{path}: undefined entity &{entity};")
+            raise MalformedXml(f"undefined entity &{entity};")
 
     parser.StartElementHandler, parser.EndElementHandler = start, end
     parser.SkippedEntityHandler = skipped
@@ -427,15 +450,10 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     """
     cells = _cells(wildcard)
     share = _Memo()
-    try:
-        with open(path, "rb") as handle:
-            parsed, schema = _parse_xes(handle, path, cells, share)
-    except expat.ExpatError as exc:
-        raise MalformedXml(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not parsed:
-        raise EmptyLog(f"{path}: no events")
+    with file_faults(path), open(path, "rb") as handle:
+        parsed, schema = _parse_xes(handle, cells, share)
+        if not parsed:
+            raise EmptyLog("no events")
 
     taken = {case_id for case_id, *_ in parsed}
     last_suffix: dict[str, int] = {}
@@ -466,24 +484,12 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
     ``⋆`` before validation, so the root check works whatever literal the
     file uses.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = [
-                tuple(WILDCARD if cell.strip() == wildcard else cell.strip() for cell in row)
-                for row in csv.reader(handle)
-                if row
-            ]
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
-    except csv.Error as exc:
-        raise ParseError(f"{path}: malformed CSV: {exc}") from exc
-    try:
-        return validate_table(rows)
-    except Exception as exc:
-        exc.args = (f"{path}: {exc}",) if exc.args else (f"{path}: invalid hierarchy",)
-        raise
+    with file_faults(path), open(path, newline="", encoding="utf-8-sig") as handle:
+        return validate_table([  # every row is read before any is checked
+            tuple(WILDCARD if cell.strip() == wildcard else cell.strip() for cell in row)
+            for row in csv.reader(handle)
+            if row
+        ])
 
 
 @dataclass(frozen=True)
@@ -560,16 +566,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     constructors check every value, and each :class:`ConfigError` names
     ``path``.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
-    try:
+    with file_faults(path, undecodable=ConfigError), open(path, encoding="utf-8") as handle:
+        raw = yaml.safe_load(handle)
         _require(isinstance(raw, dict), "top level must be a mapping")
         _check_known(raw, PipelineConfig, "keys")
         settings = {"k": None, "activity_hierarchies": None, **raw}
@@ -578,5 +576,3 @@ def load_config(path: str | Path) -> PipelineConfig:
             _check_known(raw["csv"], LogCsvSpec, "csv keys")
             settings["csv"] = LogCsvSpec(**raw["csv"])
         return PipelineConfig(**settings)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None

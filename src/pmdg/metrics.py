@@ -37,8 +37,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import IoFailure, LinkageBroken
+from .errors import LinkageBroken
 from .hierarchy import Hierarchy
+from .logio import file_faults
 from .model import WILDCARD, EventLog, Trace, _check_attributes, variants
 
 
@@ -221,8 +222,5 @@ def render_dot(graph: HandoverGraph) -> str:
 
 def export_dot(graph: HandoverGraph, path: str | Path) -> None:
     """Write the graph in DOT format, byte-identical across runs."""
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(render_dot(graph))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with file_faults(path, "write"), open(path, "w", encoding="utf-8") as handle:
+        handle.write(render_dot(graph))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,17 @@ def test_unwritable_report_stops_the_run_before_the_log_is_written(workdir, caps
     # Given one path for both, the file holds the report, written last.
     assert main(argv + ["--out", str(report), "--report", str(report)]) == 0
     assert json.loads(report.read_text(encoding="utf-8"))["k"] == 2
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_report_refused_at_its_final_write_names_its_file(workdir, capsys):
+    # ``/dev/full`` opens for writing but fails the write that ends the run.
+    assert main(["anonymize", "--config", str(workdir / "config.yaml"),
+                 "--in", str(workdir / "log.csv"), "--out", str(workdir / "anon.csv"),
+                 "--report", "/dev/full"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("pmdg: i/o error: cannot write /dev/full: [Errno")
+    assert err.count("\n") == 1
 
 
 EXHAUSTED = (
@@ -420,6 +432,17 @@ MALFORMED_INPUTS = [
     ("config-not-utf8",
      ["anonymize", "--config", "{latin1_config}", "--in", "{log}", "--out", "{out}"], 2),
     ("delimiter-flag", ["metrics", "variants", "--in", "{log}", "--delimiter", ";;"], 2),
+    # Characters the ``csv`` module rejects as a delimiter on some Pythons.
+    ("delimiter-quote-flag",
+     ["validate", "--in", "{log}", "--k", "1", "--delimiter", '"'], 2),
+    ("delimiter-newline-flag",
+     ["validate", "--in", "{log}", "--k", "1", "--delimiter", "\n"], 2),
+    ("delimiter-return-flag",
+     ["validate", "--in", "{log}", "--k", "1", "--delimiter", "\r"], 2),
+    # PyYAML's message spans lines; it is printed on one.
+    ("yaml-syntax-config",
+     ["anonymize", "--config", "{yaml_syntax_config}", "--in", "{log}", "--out", "{out}"],
+     2),
     ("delimiter-config",
      ["anonymize", "--config", "{delimiter_config}", "--in", "{log}", "--out", "{out}"],
      2),
@@ -491,6 +514,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
     (workdir / "delimiter_config.yaml").write_text(
         _config_text(workdir, extra='csv:\n  delimiter: ";;"\n'), encoding="utf-8"
     )
+    (workdir / "yaml_syntax_config.yaml").write_text("k: [\n", encoding="utf-8")
     (workdir / "bool_k_config.yaml").write_text(
         _config_text(workdir, k="true"), encoding="utf-8"
     )
@@ -541,6 +565,7 @@ def test_malformed_input_exit_codes(workdir, capsys, argv, expected):
             "latin1_hierarchy": "latin1_hierarchy.csv",
             "latin1_config": "latin1_config.yaml",
             "delimiter_config": "delimiter_config.yaml",
+            "yaml_syntax_config": "yaml_syntax_config.yaml",
             "bool_k_config": "bool_k_config.yaml",
             "inf_weight_config": "inf_weight_config.yaml",
             "dup_header_log": "dup_header_log.csv",

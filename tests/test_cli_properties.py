@@ -91,8 +91,9 @@ WRONG = {
     "level_weights": ["x", [], [-1], [True], None, [float("nan")]],
     "drop_singletons": ["yes", 1, None],
     "wildcard": [7, "", None, ["*"], MISSING],
-    "csv": [[1], "x", {"delimiter": 5}, {"delimiter": ";;"}, {"separator": ","},
-            {"attribute_columns": "role"}, {"case_column": "activity"}],
+    "csv": [[1], "x", {"delimiter": 5}, {"delimiter": ";;"}, {"delimiter": '"'},
+            {"delimiter": "\n"}, {"delimiter": "\r"}, {"delimiter": "\0"},
+            {"separator": ","}, {"attribute_columns": "role"}, {"case_column": "activity"}],
 }
 # Each makes the configuration invalid (exit 2).
 INVALID = st.one_of(
@@ -135,11 +136,14 @@ def _check_failure(err, out):
     invalid=st.lists(INVALID, max_size=2),
     two_candidates=st.booleans(),
 )
-# The missing-value literal as the wildcard, and a repeated quasi-identifier.
+# The missing-value literal as the wildcard, a repeated quasi-identifier and
+# a NUL delimiter, which the ``csv`` module rejects on Python 3.10.
 @example(hierarchy=(ROLE_CSV.encode(), frozenset({0})), benign=[],
          invalid=[("wildcard", MISSING)], two_candidates=False)
 @example(hierarchy=(ROLE_CSV.encode(), frozenset({0})), benign=[],
          invalid=[("quasi_identifiers", ["role", "role"])], two_candidates=False)
+@example(hierarchy=(ROLE_CSV.encode(), frozenset({0})), benign=[],
+         invalid=[("csv", {"delimiter": "\0"})], two_candidates=False)
 def test_generated_hierarchy_and_config_files_exit_as_documented(
     capsys, hierarchy, benign, invalid, two_candidates
 ):
@@ -197,7 +201,7 @@ def log_files(draw):
     """Bytes of a log CSV, its delimiter, its number of cases, what it
     holds ("valid", "unknown" for a value no hierarchy has, or "ragged"
     for a row of the wrong width) and whether it was cut at a byte."""
-    delimiter = draw(st.sampled_from([",", ";"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", " "]))
     case_ids = draw(st.lists(st.lists(st.sampled_from(CASE_PIECES), max_size=3).map("".join),
                              min_size=1, max_size=3))
     rows = draw(st.lists(
