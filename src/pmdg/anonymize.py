@@ -2,18 +2,19 @@
 
 A lattice node fixes one generalization level per perspective (a
 :class:`LevelVector`).  The search finds a minimum-cost node — cost
-being the sum of all levels — whose generalized log is k-anonymous,
-in two phases that share one walk, :func:`_first_hit`:
+being the sum of all levels — whose generalized log is k-anonymous, in
+two phases that share one walk, :func:`_first_hit`, over one table of
+the log's distinct rows (:func:`~pmdg.model.trace_signature`):
 
 1. *Control flow first.*  The activity level is raised in isolation
    until the control-flow classes alone satisfy k: the walk's
-   one-perspective case, over the distinct control flows.  Sequence
-   structure is what process analysis lives on, so it gets the first
-   claim on precision; the chosen level is then frozen.
+   one-perspective case, over the rows' flows.  Sequence structure is
+   what process analysis lives on, so it gets the first claim on
+   precision; the chosen level is then frozen.
 
-2. *Attribute lattice.*  The walk runs over the distinct raw signatures
-   (:func:`~pmdg.model.trace_signature`): the frozen flows are a
-   one-level perspective, then come the attributes, sorted by name.
+2. *Attribute lattice.*  :func:`_level_columns` builds the walk's
+   columns at any activity level: the frozen flows are a one-level
+   perspective, then come the attributes, sorted by name.
 
 The walk tries level vectors by ascending cost, ties in lexicographic
 order, and the first satisfying node wins.  It enumerates the vectors
@@ -21,10 +22,10 @@ of each cost in turn, the first level running upward and the rest
 recursing, so the order holds by construction.  Generalizing further
 never splits an equivalence class (levels are functional), so every
 node skipped on the way is genuinely unsatisfiable and nodes above a
-satisfiable one need no visit.  Each distinct row is weighted by its
-number of traces and holds ``Hierarchy.level_ids`` ids, so a check
-counts tuples of ints.  The returned log is built once from the chosen
-vector, and the k requirement is re-checked on it before returning.
+satisfiable one need no visit.  Each row is weighted by its number of
+traces and holds ``Hierarchy.level_ids`` ids, so a check counts tuples
+of ints.  The returned log is built once from the chosen vector, and
+the k requirement is re-checked on it before returning.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientTraces
 from .hierarchy import Hierarchy, LevelVector, _mask, apply_to_log
-from .model import EventLog, _check_attributes, control_flow, trace_signature, validate_k
+from .model import EventLog, _check_attributes, trace_signature, validate_k
 
 logger = logging.getLogger(__name__)
 
@@ -78,13 +79,18 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
     fewer than k traces (no level can help then).  When only the top level
     (every activity ``⋆``) reaches k, logs a warning with the number of
     traces in classes below k one level lower."""
-    if len(log.traces) < k:
-        raise InsufficientTraces(
-            f"log has {len(log.traces)} traces, cannot form classes of size {k}"
-        )
-    flows = Counter(control_flow(trace) for trace in log.traces)
-    levels = activity_hierarchy.level_ids(flows)
-    hit = _first_hit([levels], list(flows.values()), k)
+    rows = Counter(trace_signature(trace, ()) for trace in log.traces)
+    return _control_flow_level(rows, activity_hierarchy, k)[0]
+
+
+def _control_flow_level(rows: Counter, activity_hierarchy: Hierarchy, k: int) -> tuple[int, list]:
+    """Phase 1 over a table of distinct rows ``(flow, values)`` and their
+    trace counts: the level, and each row's flow id at every level."""
+    traces = sum(rows.values())
+    if traces < k:
+        raise InsufficientTraces(f"log has {traces} traces, cannot form classes of size {k}")
+    levels = activity_hierarchy.level_ids(flow for flow, _ in rows)
+    hit = _first_hit([levels], list(rows.values()), k)
     if hit is None:
         # Generalization never changes trace lengths, so a length that occurs
         # fewer than k times can never be hidden; only re-vectorizing helps.
@@ -95,7 +101,7 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
     level = hit[0][0]
     if level == activity_hierarchy.depth:
         sizes: Counter[int] = Counter()
-        for flow, count in zip(levels[level - 1], flows.values()):
+        for flow, count in zip(levels[level - 1], rows.values()):
             sizes[flow] += count
         logger.warning(
             "activity hierarchy exhausted: k=%d holds only with every activity "
@@ -103,7 +109,7 @@ def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) ->
             "traces at level %d",
             k, sum(size for size in sizes.values() if size < k), level - 1,
         )
-    return level
+    return level, levels
 
 
 def _spread(depths: Sequence[int], cost: int) -> Iterator[tuple[int, ...]]:
@@ -145,6 +151,26 @@ def _first_hit(
     return None
 
 
+def _level_columns(rows: Counter, flow_ids: Sequence[Sequence[int]], activity_level: int,
+                   activity_hierarchy: Hierarchy, hierarchies: Sequence[Hierarchy]) -> list:
+    """Phase 2's columns at one activity level: each row's flow id, then its attribute ids."""
+    flows = flow_ids[activity_level]
+    frozen = activity_hierarchy.lookup(activity_level).__getitem__
+    # Each frozen flow, by its id: any raw flow with that id has its image.
+    images = [tuple(map(frozen, flow)) for flow, _ in dict(zip(flows, rows)).values()]
+    columns = [[flows]]
+    for position, hierarchy in enumerate(hierarchies):
+        # Each distinct (frozen flow, column) pair is masked once, on the raw
+        # values: every level maps ``⋆`` to itself, so masking commutes with it.
+        pairs: dict[tuple, int] = {}
+        ids = [pairs.setdefault((flow, values[position][1]), len(pairs))
+               for flow, (_, values) in zip(flows, rows)]
+        masked = [_mask(images[flow], column) for flow, column in pairs]
+        levels = hierarchy.level_ids(masked)
+        columns.append([list(map(level.__getitem__, ids)) for level in levels])
+    return columns
+
+
 def search(
     log: EventLog,
     activity_hierarchy: Hierarchy,
@@ -170,35 +196,19 @@ def search(
     if missing:
         raise ValueError(f"no hierarchy for selected attributes: {missing}")
 
-    for attr in selected:  # each value once, in first-seen order over distinct columns
-        columns = (t.columns[attr] for t in log.traces)
+    rows = Counter(trace_signature(trace, selected) for trace in log.traces)
+    for position, attr in enumerate(selected):  # each value once, in first-seen order
+        columns = (row[position][1] for _, row in rows)
         values = dict.fromkeys(chain.from_iterable(dict.fromkeys(columns)))
         list(map(attribute_hierarchies[attr].lookup(0).__getitem__, values))
-    activity_level = search_control_flow(log, activity_hierarchy, k)
-
-    # Phase 2, over the distinct raw signatures.
-    rows = Counter(trace_signature(trace, selected) for trace in log.traces)
-    raw_flows = [flow for flow, _ in rows]
-    flows = activity_hierarchy.level_ids(raw_flows)[activity_level]
-    frozen = activity_hierarchy.lookup(activity_level).__getitem__
-    # Each frozen flow, by its id: any raw flow with that id has its image.
-    images = [tuple(map(frozen, flow)) for flow in dict(zip(flows, raw_flows)).values()]
-    columns = [[flows]]
-    for position, attr in enumerate(selected):
-        # Each distinct (frozen flow, column) pair is masked once, on the raw
-        # values: every level maps ``⋆`` to itself, so masking commutes with it.
-        pairs: dict[tuple, int] = {}
-        ids = [pairs.setdefault((flow, values[position][1]), len(pairs))
-               for flow, (_, values) in zip(flows, rows)]
-        masked = [_mask(images[flow], column) for flow, column in pairs]
-        levels = attribute_hierarchies[attr].level_ids(masked)
-        columns.append([list(map(level.__getitem__, ids)) for level in levels])
+    activity_level, flow_ids = _control_flow_level(rows, activity_hierarchy, k)
+    hierarchies = [attribute_hierarchies[attr] for attr in selected]
+    columns = _level_columns(rows, flow_ids, activity_level, activity_hierarchy, hierarchies)
     hit = _first_hit(columns, list(rows.values()), k)
     if hit is None:  # the top node's classes are phase 1's, which reach k
         raise AssertionError("internal error: no lattice node satisfies k")
     (_, *chosen_levels), checked = hit
-    depths = [attribute_hierarchies[attr].depth for attr in selected]
-    maxed_out = bool(selected) and chosen_levels == depths
+    maxed_out = bool(selected) and chosen_levels == [h.depth for h in hierarchies]
     if maxed_out:
         logger.warning(
             "attribute lattice exhausted: every selected attribute is fully "

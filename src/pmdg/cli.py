@@ -18,7 +18,9 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import re
+import stat
 import sys
 import time
 from collections import Counter
@@ -149,7 +151,8 @@ def run_pipeline(
     ``report_path`` (JSON) when given.  A missing directory of either
     raises :class:`IoFailure` right after the read; the report is opened
     first, so one that cannot be written stops the run before the log
-    file is made.
+    file is made.  Should the log or the report's write fail after that,
+    a report that is a regular file is removed; a device is left alone.
     """
     config_sha256 = _sha256_config(config)
     if k is not None:
@@ -221,54 +224,58 @@ def run_pipeline(
     # Hash the input before writing, in case the output overwrites it.
     input_sha256 = _sha256_file(input_path)
     # Open the report before the log is written: a report that cannot be
-    # written stops the run before it makes the log file.
+    # written stops the run before it makes the log file.  A path that is
+    # not valid UTF-8 reaches the manifest as surrogates, written as their
+    # JSON escapes.
     report = None
     if report_path is not None:
         with file_faults(report_path, "write"):
-            report = open(report_path, "w", encoding="utf-8")
-    if output_path is not None:
-        started = time.perf_counter()
-        try:
+            report = open(report_path, "w", encoding="utf-8", errors="backslashreplace")
+            regular = stat.S_ISREG(os.fstat(report.fileno()).st_mode)
+    try:  # one failure path for the log, the manifest and the report
+        if output_path is not None:
+            started = time.perf_counter()
             write_log_csv(
                 result.anonymized, output_path, config.csv, wildcard=config.wildcard
             )
-        except BaseException:
-            if report is not None:  # leave no empty report behind
-                report.close()
-                Path(report_path).unlink()
-            raise
-        timings["write"] = time.perf_counter() - started
+            timings["write"] = time.perf_counter() - started
 
-    histogram = Counter(result.class_sizes)
-    manifest = RunManifest(
-        tool_version=f"pmdg {__version__}",
-        input_path=str(input_path),
-        input_sha256=input_sha256,
-        config_sha256=config_sha256,
-        k=config.k,
-        vectorization=config.vectorization,
-        utility_notion=config.utility_notion,
-        quasi_identifiers=tuple(config.quasi_identifiers),
-        drop_singletons=config.drop_singletons,
-        traces_read=traces_read,
-        traces_kept=traces_kept,
-        aligned_length=len(vectorized.traces[0]),
-        chosen_hierarchies=chosen_paths,
-        levels=result.chosen.as_dict(),
-        nodes_evaluated=result.nodes_evaluated,
-        variants_input=variants_input,
-        variants_output=variants_output,
-        min_class_size=min(result.class_sizes),
-        class_size_histogram=[
-            [size, count] for size, count in sorted(histogram.items())
-        ],
-        handover_precision=precision,
-        timings_s=timings,
-    )
-    if report is not None:
-        with file_faults(report_path, "write"), report:
-            report.write(manifest.to_json() + "\n")
-            report.truncate()  # in case the log went to the same path
+        histogram = Counter(result.class_sizes)
+        manifest = RunManifest(
+            tool_version=f"pmdg {__version__}",
+            input_path=str(input_path),
+            input_sha256=input_sha256,
+            config_sha256=config_sha256,
+            k=config.k,
+            vectorization=config.vectorization,
+            utility_notion=config.utility_notion,
+            quasi_identifiers=tuple(config.quasi_identifiers),
+            drop_singletons=config.drop_singletons,
+            traces_read=traces_read,
+            traces_kept=traces_kept,
+            aligned_length=len(vectorized.traces[0]),
+            chosen_hierarchies=chosen_paths,
+            levels=result.chosen.as_dict(),
+            nodes_evaluated=result.nodes_evaluated,
+            variants_input=variants_input,
+            variants_output=variants_output,
+            min_class_size=min(result.class_sizes),
+            class_size_histogram=[
+                [size, count] for size, count in sorted(histogram.items())
+            ],
+            handover_precision=precision,
+            timings_s=timings,
+        )
+        if report is not None:
+            with file_faults(report_path, "write"), report:
+                report.write(manifest.to_json() + "\n")
+                report.truncate()  # in case the log went to the same path
+    except BaseException:
+        if report is not None:  # leave no empty or partial report behind
+            report.close()
+            if regular:  # never a device such as ``/dev/null``
+                Path(report_path).unlink()
+        raise
     return manifest
 
 

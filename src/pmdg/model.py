@@ -296,14 +296,20 @@ def _bodies(schema: tuple[str, ...], traces: Iterable[Trace],
     return tuple(stored)
 
 
+def _stored_log(schema: tuple[str, ...], traces: tuple[Trace, ...]) -> EventLog:
+    """Traces already stored as a log with this schema stores them (one
+    ``columns`` mapping per body), wrapped as an :class:`EventLog` without
+    running :func:`_bodies` again."""
+    log = EventLog.__new__(EventLog)
+    object.__setattr__(log, "schema", schema)
+    object.__setattr__(log, "traces", traces)
+    return log
+
+
 def _map_bodies(log: EventLog, build: Callable[[Trace], Trace]) -> EventLog:
     """``log`` with each trace replaced by ``build(trace)``, called once per
-    distinct body; :func:`_bodies` keys the result once, so it is wrapped
-    as an :class:`EventLog` without running that loop again."""
-    mapped = EventLog.__new__(EventLog)
-    object.__setattr__(mapped, "schema", log.schema)
-    object.__setattr__(mapped, "traces", _bodies(log.schema, log.traces, build))
-    return mapped
+    distinct body; :func:`_bodies` keys the result once."""
+    return _stored_log(log.schema, _bodies(log.schema, log.traces, build))
 
 
 @dataclass(frozen=True)
@@ -367,5 +373,5 @@ def drop_singleton_variants(log: EventLog) -> EventLog:
     empty log if all variants are unique.
     """
     counts = variants(log)
-    kept = tuple(t for t in log.traces if counts[t.activities] > 1)
-    return EventLog(schema=log.schema, traces=kept)
+    # A subset of a log's traces is stored as that log stores them.
+    return _stored_log(log.schema, tuple(t for t in log.traces if counts[t.activities] > 1))

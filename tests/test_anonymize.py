@@ -22,11 +22,13 @@ from pmdg import (
     vectorize_msa,
     vectorize_naive,
 )
-from pmdg.anonymize import _ascending_vectors
+from pmdg.anonymize import _ascending_vectors, _level_columns
+from pmdg.model import trace_signature
 
 from helpers import (
     clinic_hierarchies,
     clinic_log,
+    oracle_class_sizes,
     oracle_minimal_cost,
     oracle_satisfies,
     random_hierarchy,
@@ -271,6 +273,58 @@ def test_monotone_satisfies_supports_pruning():
             bumped.attribute_levels[a] >= base.attribute_levels[a] for a in attr_hs
         )
         assert satisfies(vectorized, bumped, activity, attr_hs, k)
+
+
+class _CountedTraces(tuple):
+    """A log's traces that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_search_reads_the_log_twice_and_the_activity_levels_once():
+    """One pass groups the log into its table of distinct rows and one
+    builds the output; the unknown-value check and both phases read the
+    table, and phase 2's frozen flows come from phase 1's ``level_ids``."""
+    activity, role, location = clinic_hierarchies()
+    log = vectorize_msa(clinic_log(with_location=True))
+    traces = _CountedTraces(log.traces)
+    object.__setattr__(log, "traces", traces)
+    calls = []
+    level_ids = activity.level_ids
+    activity.level_ids = lambda sequences: calls.append(1) or level_ids(sequences)
+    hierarchies = {"role": role, "location": location}
+    result = search(log, activity, hierarchies, ["role", "location"], 2)
+    assert result.chosen == LevelVector(1, {"location": 1, "role": 1})
+    assert (traces.passes, len(calls)) == (2, 1)
+
+
+def test_level_columns_give_the_oracle_classes_at_every_activity_level():
+    """The phase-2 column builder is right at any activity level, not only
+    the one phase 1 picks: for every node, the weighted classes of its
+    columns are the oracle's."""
+    rng = random.Random(53)
+    for _ in range(25):
+        log, activity, attr_hs = random_instance(rng, attrs=2, depth=3)
+        log = vectorize_msa(log)
+        selected = sorted(attr_hs)
+        rows = Counter(trace_signature(trace, selected) for trace in log.traces)
+        flow_ids = activity.level_ids(flow for flow, _ in rows)
+        hierarchies = [attr_hs[attr] for attr in selected]
+        for level in range(activity.depth + 1):
+            columns = _level_columns(rows, flow_ids, level, activity, hierarchies)
+            for vector in itertools.product(*(range(h.depth + 1) for h in hierarchies)):
+                streams = [columns[0][0], *(ids[v] for ids, v in zip(columns[1:], vector))]
+                sizes = Counter()
+                for key, weight in zip(zip(*streams), rows.values()):
+                    sizes[key] += weight
+                node = LevelVector(level, dict(zip(selected, vector)))
+                assert sorted(sizes.values(), reverse=True) == oracle_class_sizes(
+                    log, node, activity, attr_hs
+                )
 
 
 def test_search_without_attributes():

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pmdg import ConfigError, Event, read_log_csv, search, validate_k, vectorize_msa
-from pmdg.cli import main, run_pipeline
+from pmdg.cli import RunManifest, main, run_pipeline
 from pmdg.logio import load_config
 from pmdg.vectorize import STRATEGIES
 
@@ -187,6 +189,60 @@ def test_report_refused_at_its_final_write_names_its_file(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pmdg: i/o error: cannot write /dev/full: [Errno")
     assert err.count("\n") == 1
+
+
+def _record_unlinks(monkeypatch):
+    """Every unlink asked for from here on, recorded and not done."""
+    unlinked = []
+    for owner, name in ((os, "unlink"), (os, "remove"), (Path, "unlink")):
+        monkeypatch.setattr(owner, name, lambda path, *_, **__: unlinked.append(str(path)))
+    return unlinked
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
+def test_failed_run_removes_no_report_that_is_not_a_regular_file(workdir, monkeypatch, capsys):
+    unlinked = _record_unlinks(monkeypatch)
+    # A directory as the output fails at the write, after the report opened.
+    assert main(["anonymize", "--config", str(workdir / "config.yaml"),
+                 "--in", str(workdir / "log.csv"), "--out", str(workdir),
+                 "--report", "/dev/null"]) == 5
+    assert capsys.readouterr().err.startswith(f"pmdg: i/o error: cannot write {workdir}: ")
+    assert unlinked == []
+
+
+def test_report_refused_at_its_final_write_is_removed(workdir, monkeypatch, capsys):
+    argv = ["anonymize", "--config", str(workdir / "config.yaml"),
+            "--in", str(workdir / "log.csv"), "--out"]
+    expected, out, report = workdir / "expected.csv", workdir / "anon.csv", workdir / "run.json"
+    assert main(argv + [str(expected)]) == 0
+    capsys.readouterr()
+
+    def full(manifest):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(RunManifest, "to_json", full)
+    assert main(argv + [str(out), "--report", str(report)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"pmdg: i/o error: cannot write {report}: ")
+    assert err.count("\n") == 1
+    assert not report.exists()
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_input_path_that_is_not_utf8_round_trips_through_the_report(workdir):
+    log = bytes(workdir) + b"/l\xffg.csv"
+    try:
+        Path(os.fsdecode(log)).write_bytes((workdir / "log.csv").read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    report = workdir / "run.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "pmdg", "anonymize", "--config", str(workdir / "config.yaml"),
+         "--in", log, "--out", str(workdir / "anon.csv"), "--report", str(report)],
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert os.fsencode(json.loads(report.read_text(encoding="utf-8"))["input_path"]) == log
 
 
 EXHAUSTED = (

@@ -27,7 +27,7 @@ from pmdg import (
     validate_k,
     variants,
 )
-from pmdg.model import _map_bodies
+from pmdg.model import _bodies, _map_bodies
 
 from helpers import (
     clinic_hierarchies,
@@ -169,6 +169,19 @@ def test_drop_singleton_variants():
     assert [t.case_id for t in kept.traces] == ["07", "07b"]
     # All variants unique: the log empties out.
     assert drop_singleton_variants(clinic_log()).traces == ()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_drop_singleton_variants_keeps_the_stored_traces_as_they_are(seed, monkeypatch):
+    rng = random.Random(seed)
+    log = repeated_bodies(rng, random_instance(rng)[0])
+    counts = Counter(t.activities for t in log.traces)
+    oracle = EventLog(log.schema, [t for t in log.traces if counts[t.activities] > 1])
+    keyed = []
+    monkeypatch.setattr("pmdg.model._bodies", lambda *args: keyed.append(1) or _bodies(*args))
+    kept = drop_singleton_variants(log)
+    assert keyed == []
+    assert kept == oracle and one_mapping_per_body(kept)
 
 
 def test_event_normalizes_to_nfc():
