@@ -41,7 +41,6 @@ from .hierarchy import (
     HierarchyTable,
     LevelVector,
     apply_to_log,
-    validate_table,
 )
 from .logio import (
     LogCsvSpec,
@@ -134,7 +133,6 @@ __all__ = [
     "select",
     "trace_signature",
     "validate_k",
-    "validate_table",
     "variants",
     "vectorize_msa",
     "vectorize_naive",

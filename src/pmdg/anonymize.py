@@ -37,8 +37,8 @@ from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientTraces
-from .hierarchy import Hierarchy, LevelVector, _mask, apply_to_log
-from .model import EventLog, _check_attributes, trace_signature, validate_k
+from .hierarchy import Hierarchy, LevelVector, _check_hierarchies, _mask, apply_to_log
+from .model import EventLog, _check_attributes, _check_k, trace_signature, validate_k
 
 logger = logging.getLogger(__name__)
 
@@ -69,16 +69,19 @@ def satisfies(
     The perspectives checked are the control flow plus exactly the
     attributes carrying a level in ``levels``.
     """
+    _check_k(k)
     generalized = apply_to_log(log, levels, activity_hierarchy, attribute_hierarchies)
     return validate_k(generalized, tuple(levels.attribute_levels), k).ok
 
 
 def search_control_flow(log: EventLog, activity_hierarchy: Hierarchy, k: int) -> int:
     """Phase 1: the smallest activity level whose control-flow classes
-    all reach size k.  Raises :class:`InsufficientTraces` if the log has
+    all reach size k.  Raises ``ValueError`` for a k that is no int of at
+    least 1, before any work, and :class:`InsufficientTraces` if the log has
     fewer than k traces (no level can help then).  When only the top level
     (every activity ``⋆``) reaches k, logs a warning with the number of
     traces in classes below k one level lower."""
+    _check_k(k)
     rows = Counter(trace_signature(trace, ()) for trace in log.traces)
     return _control_flow_level(rows, activity_hierarchy, k)[0]
 
@@ -187,14 +190,14 @@ def search(
     top (everything ``⋆``), that is still returned (with ``maxed_out``
     set and a warning logged) rather than trading activity precision.
     Every value of a selected attribute is looked up before any is masked,
-    so one its hierarchy lacks raises ``UnknownValue`` whatever k is.
+    so one its hierarchy lacks raises ``UnknownValue`` whatever k is.  A k
+    that is no int of at least 1 raises ``ValueError`` before any work.
     """
+    _check_k(k)
     selected = tuple(selected)
     _check_attributes(log, selected)
     selected = sorted(set(selected))
-    missing = [a for a in selected if a not in attribute_hierarchies]
-    if missing:
-        raise ValueError(f"no hierarchy for selected attributes: {missing}")
+    _check_hierarchies(selected, attribute_hierarchies)
 
     rows = Counter(trace_signature(trace, selected) for trace in log.traces)
     for position, attr in enumerate(selected):  # each value once, in first-seen order

@@ -116,16 +116,17 @@ def _read_log(path: str, spec: LogCsvSpec, wildcard: str) -> EventLog:
     return read_log_csv(path, spec, wildcard=wildcard)
 
 
+def _load_hierarchy(path: str, attribute: str | None, wildcard: str) -> Hierarchy:
+    return Hierarchy(read_hierarchy(path, wildcard=wildcard), attribute=attribute)
+
+
 def _pick_hierarchy(
     log: EventLog,
     paths: tuple[str, ...],
     attribute: str | None,
     config: PipelineConfig,
 ) -> tuple[Hierarchy, str, tuple]:
-    candidates = [
-        Hierarchy(read_hierarchy(path, wildcard=config.wildcard), attribute=attribute)
-        for path in paths
-    ]
+    candidates = [_load_hierarchy(path, attribute, config.wildcard) for path in paths]
     if len(candidates) == 1:
         return candidates[0], paths[0], ()
     winner, profiles = select(
@@ -421,10 +422,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         weights = check_level_weights(weights, "--weights")
         log = _read_log(args.input, spec, wildcard)
         attribute = None if args.perspective == "activity" else args.perspective
-        candidates = [
-            Hierarchy(read_hierarchy(path, wildcard=wildcard), attribute=attribute)
-            for path in paths
-        ]
+        candidates = [_load_hierarchy(path, attribute, wildcard) for path in paths]
         winner, profiles = select(log, candidates, weights, args.notion)
         for path, profile in zip(paths, profiles):
             levels = ", ".join(f"{u:g}" for u in profile.per_level)
@@ -465,9 +463,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             anonymized = _read_log(args.anonymized, spec, wildcard)
             _check_attributes(log, (args.attr,), "original log")
             _check_attributes(anonymized, (args.attr,), "anonymized log")
-            hierarchy = Hierarchy(
-                read_hierarchy(args.hierarchy, wildcard=wildcard), attribute=args.attr
-            )
+            hierarchy = _load_hierarchy(args.hierarchy, args.attr, wildcard)
             # A re-read file turns fully masked events into padding, so
             # match by column against a fresh (deterministic)
             # vectorization of the original.

@@ -38,15 +38,19 @@ from .model import (
 @dataclass(frozen=True)
 class HierarchyTable:
     """A generalization table, checked however it is built: construction
-    strips and NFC-normalizes every cell, as log values are, so a leaf
-    matches the log value it names whatever its encoding, and raises the
-    :class:`~pmdg.errors.HierarchyFormatError` subclass naming the first
-    rule violated: uniform row length, wildcard root in the last column,
-    unique leaves, and functional consistency (equal values at level
-    ``j`` stay equal at level ``j+1``, and cells ``⋆`` and ``⊥``, unless
-    a leaf, go where the data's ``⋆`` and ``⊥`` go)."""
+    takes any iterable of rows, strips and NFC-normalizes every cell, as
+    log values are, so a leaf matches the log value it names whatever its
+    encoding, and raises the :class:`~pmdg.errors.HierarchyFormatError`
+    subclass naming the first rule violated: uniform row length, wildcard
+    root in the last column, unique leaves, and functional consistency
+    (equal values at level ``j`` stay equal at level ``j+1``, and cells
+    ``⋆`` and ``⊥``, unless a leaf, go where the data's ``⋆`` and ``⊥``
+    go).  The last check's maps from each level to the next are kept, and
+    :class:`Hierarchy` generalizes through them."""
 
     rows: tuple[tuple[str, ...], ...]
+    # Level l's values, ``⋆`` and ``⊥`` -> level l+1's, as the check builds them.
+    _parents: tuple[dict[str, str], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         normalized = tuple(tuple(_nfc(cell.strip()) for cell in row) for row in self.rows)
@@ -76,6 +80,7 @@ class HierarchyTable:
             if row[0] in seen_leaves:
                 raise DuplicateLeaf(f"leaf {row[0]!r} appears in more than one row")
             seen_leaves.add(row[0])
+        parents = []
         for level in range(width - 1):
             parent_of = {WILDCARD: WILDCARD}  # where the data's ``⋆`` and ``⊥`` go
             if MISSING not in seen_leaves:
@@ -88,6 +93,8 @@ class HierarchyTable:
                         f"value {value!r} at level {level} maps to both {known!r} "
                         f"and {parent!r}"
                     )
+            parents.append(parent_of)
+        object.__setattr__(self, "_parents", tuple(parents))
 
     @property
     def depth(self) -> int:
@@ -96,11 +103,6 @@ class HierarchyTable:
     @property
     def leaves(self) -> tuple[str, ...]:
         return tuple(row[0] for row in self.rows)
-
-
-def validate_table(rows: Iterable[Sequence[str]]) -> HierarchyTable:
-    """The checked table of ``rows``; see :class:`HierarchyTable`."""
-    return HierarchyTable(rows=tuple(rows))
 
 
 class _LevelTable(dict):
@@ -129,21 +131,12 @@ class Hierarchy:
         self.attribute = attribute
         self.depth = table.depth
         self.leaves = table.leaves
-        # A ``⊥`` that is not a leaf stays ``⊥`` below the root; ``⋆`` is no leaf.
-        self._lookup = tuple(
-            _LevelTable(
-                self.name,
-                {MISSING: MISSING if level < self.depth else WILDCARD}
-                | {row[0]: row[level] for row in table.rows}
-                | {WILDCARD: WILDCARD},
-            )
-            for level in range(self.depth + 1)
-        )
-        # Level l's images -> level l+1's; the first is level 1's table itself.
-        self._parents = tuple(
-            _LevelTable(self.name, dict(zip(lower.values(), upper.values())))
-            for lower, upper in zip(self._lookup, self._lookup[1:])
-        )
+        self._parents = tuple(_LevelTable(self.name, parent) for parent in table._parents)
+        # Each leaf, ``⊥`` and ``⋆`` from itself at level 0 up through the parents.
+        images = [{MISSING: MISSING} | {leaf: leaf for leaf in self.leaves} | {WILDCARD: WILDCARD}]
+        for parent in self._parents:
+            images.append({value: parent[image] for value, image in images[-1].items()})
+        self._lookup = tuple(_LevelTable(self.name, level) for level in images)
         counts: dict[str, set[str]] = {}
         for row in table.rows:
             for value in row:
@@ -154,7 +147,7 @@ class Hierarchy:
     def from_rows(
         cls, rows: Iterable[Sequence[str]], attribute: str | None = None
     ) -> "Hierarchy":
-        return cls(validate_table(rows), attribute=attribute)
+        return cls(HierarchyTable(rows), attribute=attribute)
 
     @property
     def name(self) -> str:
@@ -201,8 +194,6 @@ class Hierarchy:
         literal counts as a single-leaf path of its own unless the table
         defines it explicitly.
         """
-        if value == WILDCARD:
-            return len(self.leaves)
         found = self._alpha.get(value)
         if found is not None:
             return found
@@ -238,6 +229,13 @@ class LevelVector:
             "activity": self.activity_level,
             "attributes": dict(sorted(self.attribute_levels.items())),
         }
+
+
+def _check_hierarchies(names: Iterable[str], hierarchies: Mapping[str, Hierarchy]) -> None:
+    """Raise ``ValueError`` for the first of ``names`` that ``hierarchies`` lacks."""
+    absent = next((name for name in names if name not in hierarchies), None)
+    if absent is not None:
+        raise ValueError(f"no hierarchy supplied for attribute {absent!r}")
 
 
 def _mask(flow: tuple[str, ...], column: tuple[str, ...]) -> tuple[str, ...]:
@@ -277,9 +275,7 @@ def apply_to_log(
     """
     attribute_hierarchies = attribute_hierarchies or {}
     _check_attributes(log, levels.attribute_levels)
-    for attr in levels.attribute_levels:
-        if attr not in attribute_hierarchies:
-            raise ValueError(f"no hierarchy supplied for attribute {attr!r}")
+    _check_hierarchies(levels.attribute_levels, attribute_hierarchies)
 
     activities = activity_hierarchy.lookup(levels.activity_level).__getitem__
     tables = {

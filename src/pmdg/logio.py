@@ -14,11 +14,13 @@ the real events of its case as ``origin_index``.  A fully masked event
 padding once serialized — the one lossy corner of the format, flagged in
 ``write_log_csv``.
 
-Both log readers make one streaming pass straight into each trace's
-columns (see :class:`~pmdg.model.Trace`): CSV row by row, and XES through
-one pair of ``pyexpat`` handlers that build a trace's columns at its
-``</trace>``.  A read holds the log it builds and one trace's events,
-never the whole file, an element tree or an ``Event``.  Each distinct
+Both log readers make one streaming pass over the file and build each
+trace's columns (see :class:`~pmdg.model.Trace`), never an element tree
+or an ``Event``.  The XES read holds the log it builds and one trace's
+events: one pair of ``pyexpat`` handlers builds a trace's columns at its
+``</trace>``.  The CSV read holds every case's rows, one tuple of cells
+each (equal rows share one), until the file ends, because a case's rows
+need not be contiguous, and builds the columns from them then.  Each distinct
 cell is canonicalized and NFC-normalized once per read, and every trace
 holding that value shares one string; equal columns share one tuple,
 and the cases of one body one ``columns`` mapping, as in every
@@ -61,8 +63,8 @@ from .errors import (
     ParseError,
     RaggedRow,
 )
-from .hierarchy import HierarchyTable, validate_table
-from .model import MISSING, WILDCARD, EventLog, Trace, _Memo, _nfc
+from .hierarchy import HierarchyTable
+from .model import MISSING, WILDCARD, EventLog, Trace, _check_k, _Memo, _nfc
 from .selection import UTILITY_NOTIONS
 from .vectorize import STRATEGIES
 
@@ -89,8 +91,7 @@ def _paths(value: object, label: str) -> tuple[str, ...]:
 
 def check_k(k: object) -> None:
     """Raise :class:`ConfigError` unless ``k`` is an int of at least 1."""
-    _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-             f"k must be an integer >= 1, got {k!r}")
+    _check_k(k, ConfigError)
 
 
 def check_wildcard(literal: object, label: str) -> None:
@@ -485,7 +486,7 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
     file uses.
     """
     with file_faults(path), open(path, newline="", encoding="utf-8-sig") as handle:
-        return validate_table([  # every row is read before any is checked
+        return HierarchyTable([  # every row is read before any is checked
             tuple(WILDCARD if cell.strip() == wildcard else cell.strip() for cell in row)
             for row in csv.reader(handle)
             if row

@@ -352,10 +352,16 @@ def _check_attributes(log: EventLog, names: Iterable[str], label: str = "log") -
         raise UnknownAttribute(f"{label} has no attribute {absent!r}")
 
 
+def _check_k(k: object, error: type[Exception] = ValueError) -> None:
+    """The package's one rule for k: raise ``error`` unless ``k`` is an int
+    of at least 1 (a bool is no int here)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise error(f"k must be an integer >= 1, got {k!r}")
+
+
 def validate_k(log: EventLog, selected: Iterable[str], k: int) -> KAnonymityReport:
     """Check whether every equivalence class has at least ``k`` members."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     selected = tuple(selected)
     _check_attributes(log, selected)
     chosen = tuple(attr for attr in log.schema if attr in selected)

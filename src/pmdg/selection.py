@@ -34,8 +34,6 @@ UTILITY_NOTIONS = ("class_count", "size_balance")
 class UtilityProfile:
     """Per-level utilities of one candidate and their weighted total."""
 
-    name: str
-    depth: int
     per_level: tuple[float, ...]
     weights: tuple[float, ...]
     total: float
@@ -63,7 +61,7 @@ def _utility(level: Sequence[int], counts: Sequence[int], notion: str) -> float:
 
 
 def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
-             weights: Sequence[float], notion: str, name: str) -> UtilityProfile:
+             weights: Sequence[float], notion: str) -> UtilityProfile:
     """Score one candidate over all its levels (1 through depth), from the
     distinct raw sequences and their counts.
 
@@ -77,13 +75,7 @@ def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
     counts, levels = list(sequences.values()), hierarchy.level_ids(sequences)[1:]
     per_level = tuple(_utility(level, counts, notion) for level in levels)
     total = sum(w * u for w, u in zip(padded, per_level))
-    return UtilityProfile(
-        name=name,
-        depth=hierarchy.depth,
-        per_level=per_level,
-        weights=padded,
-        total=total,
-    )
+    return UtilityProfile(per_level=per_level, weights=padded, total=total)
 
 
 def select(
@@ -102,10 +94,7 @@ def select(
         raise ValueError("no candidate hierarchies given")
     perspectives = {h.attribute: h for h in candidates}  # extract each once
     sequences = {a: Counter(_value_sequences(log, h)) for a, h in perspectives.items()}
-    profiles = tuple(
-        _profile(sequences[h.attribute], h, weights, notion, f"candidate_{i}")
-        for i, h in enumerate(candidates)
-    )
+    profiles = tuple(_profile(sequences[h.attribute], h, weights, notion) for h in candidates)
     winner = min(
         range(len(candidates)),
         key=lambda i: (-profiles[i].total, candidates[i].depth, i),

@@ -22,6 +22,7 @@ from pmdg import (
     vectorize_msa,
     vectorize_naive,
 )
+from pmdg import anonymize
 from pmdg.anonymize import _ascending_vectors, _level_columns
 from pmdg.model import trace_signature
 
@@ -52,6 +53,28 @@ def test_search_control_flow_insufficient_traces():
     vectorized, activity, _ = clinic_setup()
     with pytest.raises(InsufficientTraces):
         search_control_flow(vectorized, activity, 3)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["log", "empty-log"])
+@pytest.mark.parametrize("k", [0, -1, True, 2.5])
+def test_every_entry_point_refuses_a_bad_k_before_any_work(k, empty, monkeypatch):
+    vectorized, activity, roles = clinic_setup()
+    log = EventLog(schema=vectorized.schema, traces=()) if empty else vectorized
+
+    def no_work(*args):
+        raise AssertionError("work began before k was checked")
+
+    monkeypatch.setattr(anonymize, "apply_to_log", no_work)
+    monkeypatch.setattr(anonymize, "trace_signature", no_work)
+    for call in (
+        lambda: validate_k(log, ["role"], k),
+        lambda: search_control_flow(log, activity, k),
+        lambda: search(log, activity, roles, ["role"], k),
+        lambda: satisfies(log, LevelVector(0, {"role": 0}), activity, roles, k),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"k must be an integer >= 1, got {k!r}"
 
 
 def test_search_control_flow_unvectorized_lengths_cannot_satisfy():

@@ -18,7 +18,6 @@ from pmdg import (
     Trace,
     UnknownValue,
     apply_to_log,
-    validate_table,
     vectorize_naive,
 )
 
@@ -34,7 +33,7 @@ from helpers import (
 
 
 def test_validate_table_accepts_repeats_across_levels():
-    table = validate_table(
+    table = HierarchyTable(
         [
             ("a", "a", "ab", WILDCARD),
             ("b", "b", "ab", WILDCARD),
@@ -48,33 +47,33 @@ def test_validate_table_accepts_repeats_across_levels():
 
 def test_validate_table_errors():
     with pytest.raises(InconsistentDepth):
-        validate_table([("a", "x", WILDCARD), ("b", WILDCARD)])
+        HierarchyTable([("a", "x", WILDCARD), ("b", WILDCARD)])
     with pytest.raises(MissingRoot):
-        validate_table([("a", "x"), ("b", "x")])
+        HierarchyTable([("a", "x"), ("b", "x")])
     with pytest.raises(DuplicateLeaf):
-        validate_table([("a", WILDCARD), ("a", WILDCARD)])
+        HierarchyTable([("a", WILDCARD), ("a", WILDCARD)])
     with pytest.raises(NonFunctionalLevel):
-        validate_table(
+        HierarchyTable(
             [("a", "x", "p", WILDCARD), ("b", "x", "q", WILDCARD)]
         )
     # A ``⋆`` or a ``⊥`` that is no leaf meets the data's ``⋆`` or ``⊥``
     # at level 1 and would split from it at level 2.
     for rows in ([("x", WILDCARD, "y", WILDCARD)], [("x", MISSING, "y", WILDCARD)]):
         with pytest.raises(NonFunctionalLevel) as raised:
-            validate_table(rows)
+            HierarchyTable(rows)
         assert str(raised.value) == (
             f"value {rows[0][1]!r} at level 1 maps to both {rows[0][1]!r} and 'y'"
         )
         with pytest.raises(NonFunctionalLevel):
             Hierarchy.from_rows(rows)
     # A ``⊥`` leaf follows its own row, so the same cells are functional.
-    validate_table([("x", MISSING, "y", WILDCARD), (MISSING, MISSING, "y", WILDCARD)])
+    HierarchyTable([("x", MISSING, "y", WILDCARD), (MISSING, MISSING, "y", WILDCARD)])
     with pytest.raises(HierarchyFormatError):
-        validate_table([])
+        HierarchyTable([])
     with pytest.raises(HierarchyFormatError):
-        validate_table([(WILDCARD, WILDCARD)])
+        HierarchyTable([(WILDCARD, WILDCARD)])
     with pytest.raises(InconsistentDepth):
-        validate_table([("a",)])
+        HierarchyTable([("a",)])
 
 
 def test_hierarchy_table_is_checked_however_built():
@@ -86,7 +85,20 @@ def test_hierarchy_table_is_checked_however_built():
         HierarchyTable(rows=(("a", "x", "p", WILDCARD), ("b", "x", "q", WILDCARD)))
     table = HierarchyTable(rows=((" Cafe\u0301 ", " g", WILDCARD),))
     assert table.rows == (("Caf\u00e9", "g", WILDCARD),)
-    assert table == validate_table([("Caf\u00e9", "g", WILDCARD)])
+    assert table == HierarchyTable([("Caf\u00e9", "g", WILDCARD)])
+
+
+def test_missing_leaf_conflicts_are_reported_in_row_order():
+    # The ``⊥`` leaf's row comes second, so its parent is the one named second.
+    rows = [("a", "g", "p", WILDCARD), (MISSING, "g", "q", WILDCARD)]
+    for build in (HierarchyTable, Hierarchy.from_rows):
+        with pytest.raises(NonFunctionalLevel) as raised:
+            build(rows)
+        assert str(raised.value) == "value 'g' at level 1 maps to both 'p' and 'q'"
+    # The level maps kept from the check are neither compared nor shown.
+    table = HierarchyTable([("a", "g", WILDCARD), (MISSING, "g", WILDCARD)])
+    assert repr(table) == f"HierarchyTable(rows={table.rows!r})"
+    assert hash(table) == hash(HierarchyTable(table.rows))
 
 
 def test_generalize_is_row_lookup():

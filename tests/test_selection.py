@@ -90,6 +90,8 @@ def test_select_rejects_unknown_notion_and_attribute():
     other = Hierarchy.from_rows([("x", WILDCARD)], attribute="nope")
     with pytest.raises(UnknownAttribute):
         select(log, [role, other])
+    with pytest.raises(ValueError, match="^weights must not be empty$"):
+        select(log, [role], weights=())
 
 
 def test_select_weight_extension():
