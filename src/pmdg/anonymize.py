@@ -194,9 +194,7 @@ def search(
     that is no int of at least 1 raises ``ValueError`` before any work.
     """
     _check_k(k)
-    selected = tuple(selected)
-    _check_attributes(log, selected)
-    selected = sorted(set(selected))
+    selected = sorted(set(_check_attributes(log, selected)))
     _check_hierarchies(selected, attribute_hierarchies)
 
     rows = Counter(trace_signature(trace, selected) for trace in log.traces)

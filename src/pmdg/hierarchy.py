@@ -105,6 +105,11 @@ class HierarchyTable:
         return tuple(row[0] for row in self.rows)
 
 
+def _is_level(level: object) -> bool:
+    """The package's one rule for a generalization level: an int >= 0, not a bool."""
+    return isinstance(level, int) and not isinstance(level, bool) and level >= 0
+
+
 class _LevelTable(dict):
     """Images at one level, or one level up from the level below; any
     other key raises :class:`~pmdg.errors.UnknownValue`."""
@@ -161,15 +166,16 @@ class Hierarchy:
         literal ``⊥`` is accepted even when no row defines it: gaps in
         the data carry no information to generalize away, so ``⊥`` stays
         itself below the root and becomes ``⋆`` only at the top level.
-        A level out of range raises ``ValueError``, any other value
-        :class:`~pmdg.errors.UnknownValue`.
+        A level that :meth:`lookup` refuses raises ``ValueError``, any
+        other value :class:`~pmdg.errors.UnknownValue`.
         """
         return self.lookup(level)[value]
 
     def lookup(self, level: int) -> Mapping[str, str]:
-        """The level's table: each leaf, ``⊥`` and ``⋆`` -> its image."""
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level {level} out of range 0..{self.depth} for {self.name}")
+        """The level's table: each leaf, ``⊥`` and ``⋆`` -> its image.  A level
+        that is no :func:`_is_level` or exceeds ``depth`` raises ``ValueError``."""
+        if not (_is_level(level) and level <= self.depth):
+            raise ValueError(f"level {level!r} out of range 0..{self.depth} for {self.name}")
         return self._lookup[level]
 
     def level_ids(self, sequences: Iterable[tuple[str, ...]]) -> list[list[int]]:
@@ -214,10 +220,9 @@ class LevelVector:
         object.__setattr__(
             self, "attribute_levels", MappingProxyType(dict(self.attribute_levels))
         )
-        if self.activity_level < 0 or any(
-            lvl < 0 for lvl in self.attribute_levels.values()
-        ):
-            raise ValueError("generalization levels must be non-negative")
+        for level in (self.activity_level, *self.attribute_levels.values()):
+            if not _is_level(level):
+                raise ValueError(f"generalization levels must be integers >= 0, got {level!r}")
 
     @property
     def cost(self) -> int:

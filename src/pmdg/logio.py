@@ -12,7 +12,8 @@ inserted padding event; every other event receives its position among
 the real events of its case as ``origin_index``.  A fully masked event
 (all cells ``⋆`` *with* an origin) is therefore indistinguishable from
 padding once serialized — the one lossy corner of the format, flagged in
-``write_log_csv``.
+``write_log_csv``.  A function that takes the wildcard literal checks it
+first, by :func:`check_wildcard`, and raises ``ValueError``.
 
 Both log readers make one streaming pass over the file and build each
 trace's columns (see :class:`~pmdg.model.Trace`), never an element tree
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -65,7 +65,7 @@ from .errors import (
 )
 from .hierarchy import HierarchyTable
 from .model import MISSING, WILDCARD, EventLog, Trace, _check_k, _Memo, _nfc
-from .selection import UTILITY_NOTIONS
+from .selection import _check_notion, _check_weights
 from .vectorize import STRATEGIES
 
 
@@ -94,23 +94,17 @@ def check_k(k: object) -> None:
     _check_k(k, ConfigError)
 
 
-def check_wildcard(literal: object, label: str) -> None:
-    """Raise :class:`ConfigError` unless ``literal`` can stand for the wildcard
-    in files: a non-empty string other than ``⊥``, which reads as missing."""
-    _require(isinstance(literal, str) and literal not in ("", MISSING),
-             f"{label} must be a non-empty string, not {MISSING!r}")
+def check_wildcard(literal: object, label: str = "wildcard",
+                   error: type[Exception] = ConfigError) -> None:
+    """The package's one rule for the wildcard literal in files: raise ``error``
+    unless it is a non-empty string other than ``⊥``, which reads as missing."""
+    if not (isinstance(literal, str) and literal not in ("", MISSING)):
+        raise error(f"{label} must be a non-empty string, not {MISSING!r}")
 
 
 def check_level_weights(raw: object, label: str) -> tuple[float, ...]:
-    """``raw``, a list or tuple, as level weights, or :class:`ConfigError`."""
-    _require(  # the range test is exact for ints and false for nan
-        isinstance(raw, (list, tuple)) and raw and all(
-            isinstance(w, (int, float)) and not isinstance(w, bool)
-            and 0 <= w <= sys.float_info.max for w in raw
-        ),
-        f"{label} must be a non-empty list of finite, non-negative numbers",
-    )
-    return tuple(map(float, raw))
+    """``raw`` as level weights, or :class:`ConfigError` (see ``selection._check_weights``)."""
+    return _check_weights(raw, label, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -225,6 +219,7 @@ def read_log_csv(
     reported before any data row is read; otherwise the first faulty row
     wins.
     """
+    check_wildcard(wildcard, error=ValueError)
     spec = spec or LogCsvSpec()
     cells = _cells(wildcard)
     share = _Memo().__getitem__
@@ -313,6 +308,7 @@ def write_log_csv(
     and one the log lacks cannot be written, so both raise
     :class:`DataError` before the file is created.
     """
+    check_wildcard(wildcard, error=ValueError)
     spec = spec or LogCsvSpec()
     names = _written_attributes(log, path, spec)
     header = [spec.case_column, spec.activity_column, *names]
@@ -449,6 +445,7 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
     at its ``</trace>``; its suffix, which needs every case id, and one
     shared all-``⊥`` column per key first seen after it wait for the end.
     """
+    check_wildcard(wildcard, error=ValueError)
     cells = _cells(wildcard)
     share = _Memo()
     with file_faults(path), open(path, "rb") as handle:
@@ -485,6 +482,7 @@ def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTa
     ``⋆`` before validation, so the root check works whatever literal the
     file uses.
     """
+    check_wildcard(wildcard, error=ValueError)
     with file_faults(path), open(path, newline="", encoding="utf-8-sig") as handle:
         return HierarchyTable([  # every row is read before any is checked
             tuple(WILDCARD if cell.strip() == wildcard else cell.strip() for cell in row)
@@ -545,8 +543,7 @@ class PipelineConfig:
             _require(attr in hierarchies, f"quasi-identifier {attr!r} has no hierarchy")
         _require(isinstance(self.vectorization, str) and self.vectorization in STRATEGIES,
                  f"vectorization must be one of {tuple(STRATEGIES)}")
-        _require(self.utility_notion in UTILITY_NOTIONS,
-                 f"utility_notion must be one of {UTILITY_NOTIONS}")
+        _check_notion(self.utility_notion, "utility_notion", ConfigError)
         normalize("level_weights", check_level_weights(self.level_weights, "level_weights"))
         _require(isinstance(self.drop_singletons, bool), "drop_singletons must be a boolean")
         check_wildcard(self.wildcard, "wildcard")

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import LinkageBroken
 from .hierarchy import Hierarchy
@@ -120,9 +119,9 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
     their ``origin_index`` and so are not padding.
 
     A log holds one ``columns`` mapping per distinct body (see
-    :class:`~pmdg.model.EventLog`), so the events of each distinct pair of
-    original and image mappings are paired once, at its first case, and
-    its handovers count once per case.
+    :class:`~pmdg.model.EventLog`), so each distinct pair of original and
+    image mappings has its event counts checked at its first case, and its
+    events paired once, at the end, its handovers counting once per case.
 
     Raises :class:`LinkageBroken`, in log order, when a case is missing
     or the event counts differ — e.g. a pre-vectorization log against a
@@ -131,42 +130,36 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
     _check_attributes(original, (attribute,), "original log")
     _check_attributes(anonymized, (attribute,), "anonymized log")
     images = {trace.case_id: trace for trace in anonymized.traces}
-    # The ids of a case's and its image's columns mapping -> the first such
-    # case, and the number of later ones.
-    firsts: dict[tuple[int, int], Trace] = {}
-    repeats: Counter[tuple[int, int]] = Counter()
-
-    def first_sights() -> Iterator[Iterator[tuple]]:
-        for trace in original.traces:
-            image = images.get(trace.case_id)
-            if image is None:
-                raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
-            key = (id(trace.columns), id(image.columns))
-            if key in firsts:
-                repeats[key] += 1
-            else:
-                firsts[key] = trace
-                yield _paired(trace, image, attribute)
-
-    counts = Counter(chain.from_iterable(first_sights()))
-    for key, cases in repeats.items():
-        trace = firsts[key]
-        for handover in _paired(trace, images[trace.case_id], attribute):
-            counts[handover] += cases
+    # The ids of a case's and its image's columns mapping -> the first such case,
+    # its image and the image's positions of its real events; and -> the cases.
+    firsts: dict[tuple[int, int], tuple[Trace, Trace, Sequence[int]]] = {}
+    cases: Counter[tuple[int, int]] = Counter()
+    for trace in original.traces:
+        image = images.get(trace.case_id)
+        if image is None:
+            raise LinkageBroken(f"case {trace.case_id!r} missing from anonymized log")
+        key = (id(trace.columns), id(image.columns))
+        if key not in firsts:
+            real = trace.real
+            shown = real if len(image.activities) == len(trace.activities) else image.real
+            if len(real) != len(shown):
+                raise LinkageBroken(
+                    f"case {trace.case_id!r}: {len(real)} original events but "
+                    f"{len(shown)} non-padding events in the anonymized log"
+                )
+            firsts[key] = (trace, image, shown)
+        cases[key] += 1
+    counts: Counter[tuple] = Counter()
+    for key, (trace, image, shown) in firsts.items():
+        before = _at(trace.columns[attribute], trace.real)
+        after = _at(image.columns[attribute], shown)
+        handovers = zip(before, before[1:], after, after[1:])
+        if cases[key] == 1:
+            counts.update(handovers)  # counted in C
+        else:
+            for handover in handovers:
+                counts[handover] += cases[key]
     return counts
-
-
-def _paired(trace: Trace, image: Trace, attribute: str) -> Iterator[tuple]:
-    """The handovers of one case with their images (see :func:`_handovers`)."""
-    real = trace.real
-    shown = real if len(image.activities) == len(trace.activities) else image.real
-    if len(real) != len(shown):
-        raise LinkageBroken(
-            f"case {trace.case_id!r}: {len(real)} original events but "
-            f"{len(shown)} non-padding events in the anonymized log"
-        )
-    before, after = _at(trace.columns[attribute], real), _at(image.columns[attribute], shown)
-    return zip(before, before[1:], after, after[1:])
 
 
 def handover_precision(

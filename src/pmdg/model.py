@@ -343,13 +343,17 @@ def trace_signature(trace: Trace, selected: Sequence[str]) -> tuple:
     return (trace.activities, tuple([(attr, trace.columns[attr]) for attr in selected]))
 
 
-def _check_attributes(log: EventLog, names: Iterable[str], label: str = "log") -> None:
-    """The package's one check of attribute names against a log: raise
-    :class:`~pmdg.errors.UnknownAttribute` for the first of ``names``, in
-    the caller's order, that ``label``'s schema lacks."""
+def _check_attributes(log: EventLog, names: Iterable[str], label: str = "log") -> tuple[str, ...]:
+    """The package's one check of attribute names against a log: ``names`` as
+    a tuple, ``ValueError`` for one string, or :class:`~pmdg.errors.UnknownAttribute`
+    for the first of ``names``, in the caller's order, that ``label``'s schema lacks."""
+    if isinstance(names, str):
+        raise ValueError(f"attribute names must be a collection, not the string {names!r}")
+    names = tuple(names)
     absent = next((name for name in names if name not in log.schema), None)
     if absent is not None:
         raise UnknownAttribute(f"{label} has no attribute {absent!r}")
+    return names
 
 
 def _check_k(k: object, error: type[Exception] = ValueError) -> None:
@@ -362,8 +366,7 @@ def _check_k(k: object, error: type[Exception] = ValueError) -> None:
 def validate_k(log: EventLog, selected: Iterable[str], k: int) -> KAnonymityReport:
     """Check whether every equivalence class has at least ``k`` members."""
     _check_k(k)
-    selected = tuple(selected)
-    _check_attributes(log, selected)
+    selected = _check_attributes(log, selected)
     chosen = tuple(attr for attr in log.schema if attr in selected)
     sizes = Counter(trace_signature(trace, chosen) for trace in log.traces)
     violations = tuple((signature, size) for signature, size in sizes.items() if size < k)

@@ -20,6 +20,7 @@ with different depths are compared as-is; choose weights accordingly.
 from __future__ import annotations
 
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,6 +29,25 @@ from .hierarchy import Hierarchy
 from .model import EventLog, _check_attributes
 
 UTILITY_NOTIONS = ("class_count", "size_balance")
+
+
+def _check_notion(notion: object, label: str = "notion",
+                  error: type[Exception] = ValueError) -> None:
+    """The package's one rule for the utility notion: one of :data:`UTILITY_NOTIONS`."""
+    if notion not in UTILITY_NOTIONS:
+        raise error(f"{label} must be one of {UTILITY_NOTIONS}")
+
+
+def _check_weights(weights: object, label: str = "weights",
+                   error: type[Exception] = ValueError) -> tuple[float, ...]:
+    """The package's one rule for level weights: a non-empty list or tuple of
+    finite, non-negative numbers (a bool is no number here), made floats."""
+    if not (isinstance(weights, (list, tuple)) and weights and all(
+        isinstance(w, (int, float)) and not isinstance(w, bool)
+        and 0 <= w <= sys.float_info.max for w in weights  # exact for ints, false for nan
+    )):
+        raise error(f"{label} must be a non-empty list of finite, non-negative numbers")
+    return tuple(map(float, weights))
 
 
 @dataclass(frozen=True)
@@ -55,22 +75,18 @@ def _utility(level: Sequence[int], counts: Sequence[int], notion: str) -> float:
         sizes[image] += count
     if notion == "class_count":
         return float(len(sizes))
-    if notion == "size_balance":
-        return 1.0 / (1.0 + statistics.pstdev(sizes))
-    raise ValueError(f"unknown utility notion {notion!r}")
+    return 1.0 / (1.0 + statistics.pstdev(sizes))  # size_balance
 
 
 def _profile(sequences: Counter[tuple[str, ...]], hierarchy: Hierarchy,
-             weights: Sequence[float], notion: str) -> UtilityProfile:
+             weights: tuple[float, ...], notion: str) -> UtilityProfile:
     """Score one candidate over all its levels (1 through depth), from the
     distinct raw sequences and their counts.
 
     ``weights`` gives a weight per level; a short list is extended with
     its last entry, so a single ``[1.0]`` weighs all levels equally.
     """
-    if not weights:
-        raise ValueError("weights must not be empty")
-    padded = tuple(weights) + (weights[-1],) * max(0, hierarchy.depth - len(weights))
+    padded = weights + (weights[-1],) * max(0, hierarchy.depth - len(weights))
     padded = padded[: hierarchy.depth]
     counts, levels = list(sequences.values()), hierarchy.level_ids(sequences)[1:]
     per_level = tuple(_utility(level, counts, notion) for level in levels)
@@ -88,10 +104,13 @@ def select(
 
     Returns the winner together with every candidate's profile (in input
     order) so callers can report the comparison.  Ties prefer the
-    shallower hierarchy, then the earlier candidate.
+    shallower hierarchy, then the earlier candidate.  Bad weights or a bad
+    notion raise ``ValueError`` before any work.
     """
     if not candidates:
         raise ValueError("no candidate hierarchies given")
+    weights = _check_weights(weights)
+    _check_notion(notion)
     perspectives = {h.attribute: h for h in candidates}  # extract each once
     sequences = {a: Counter(_value_sequences(log, h)) for a, h in perspectives.items()}
     profiles = tuple(_profile(sequences[h.attribute], h, weights, notion) for h in candidates)

@@ -77,6 +77,20 @@ def test_every_entry_point_refuses_a_bad_k_before_any_work(k, empty, monkeypatch
         assert str(raised.value) == f"k must be an integer >= 1, got {k!r}"
 
 
+def test_a_bare_string_of_attribute_names_is_refused():
+    """One string is not read as its characters, each an attribute name."""
+    vectorized, activity, roles = clinic_setup()
+    for call in (
+        lambda: validate_k(vectorized, "role", 1),
+        lambda: search(vectorized, activity, roles, "role", 1),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == (
+            "attribute names must be a collection, not the string 'role'"
+        )
+
+
 def test_search_control_flow_unvectorized_lengths_cannot_satisfy():
     activity, _, _ = clinic_hierarchies()
     raw = clinic_log()  # lengths 4 and 3, generalization cannot merge them

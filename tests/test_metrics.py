@@ -25,6 +25,7 @@ from pmdg import (
     vectorize_msa,
     write_log_csv,
 )
+from pmdg import metrics
 from pmdg.metrics import _handovers
 
 from helpers import (
@@ -222,6 +223,43 @@ def test_handover_pairs_agree_on_all_input_forms(tmp_path):
         ]
         assert forms[0] == forms[1] == forms[2]
         assert forms[0] == Counter(oracle_handovers(log, result.anonymized, attr))
+
+
+def test_handovers_pair_each_distinct_pair_of_bodies_once(monkeypatch):
+    """However many cases share a pair of original and image ``columns``
+    mappings, its events are paired once: one ``_at`` call for the original
+    column and one for the image's."""
+    at, calls = metrics._at, []
+
+    def counted(column, positions):
+        calls.append(column)
+        return at(column, positions)
+
+    monkeypatch.setattr(metrics, "_at", counted)
+    rng = random.Random(67)
+    shared = 0
+    for _ in range(30):
+        log, activity, attr_hs = random_instance(rng)
+        log = repeated_bodies(rng, log)
+        vectorized = vectorize_msa(log)
+        levels = LevelVector(
+            rng.randint(0, activity.depth),
+            {attr: rng.randint(0, h.depth) for attr, h in attr_hs.items()},
+        )
+        anonymized = apply_to_log(vectorized, levels, activity, attr_hs)
+        images = {trace.case_id: trace for trace in anonymized.traces}
+        attr = sorted(attr_hs)[0]
+        for original in (log, vectorized):
+            pairs = Counter(
+                (id(trace.columns), id(images[trace.case_id].columns))
+                for trace in original.traces
+            )
+            shared += sum(cases > 1 for cases in pairs.values())
+            calls.clear()
+            counts = _handovers(original, anonymized, attr)
+            assert len(calls) == 2 * len(pairs)
+            assert counts == Counter(oracle_handovers(original, anonymized, attr))
+    assert shared >= 10
 
 
 def _oracle_precision(original, anonymized, attribute, hierarchy, aggregate):

@@ -90,7 +90,7 @@ def test_select_rejects_unknown_notion_and_attribute():
     other = Hierarchy.from_rows([("x", WILDCARD)], attribute="nope")
     with pytest.raises(UnknownAttribute):
         select(log, [role, other])
-    with pytest.raises(ValueError, match="^weights must not be empty$"):
+    with pytest.raises(ValueError, match="^weights must be a non-empty list of finite, non-negative numbers$"):
         select(log, [role], weights=())
 
 
