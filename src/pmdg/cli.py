@@ -41,8 +41,6 @@ from .logio import (
     LogCsvSpec,
     PipelineConfig,
     _written_attributes,
-    check_k,
-    check_level_weights,
     check_wildcard,
     file_faults,
     load_config,
@@ -53,10 +51,10 @@ from .logio import (
 )
 from .metrics import export_dot, handover_graph, handover_precision, remaining_variants
 from .model import (
-    WILDCARD, EventLog, _check_attributes, _nfc, drop_singleton_variants,
+    WILDCARD, EventLog, _check_attributes, _check_k, _nfc, drop_singleton_variants,
     validate_k, variants,
 )
-from .selection import UTILITY_NOTIONS, select
+from .selection import UTILITY_NOTIONS, _check_weights, select
 from .vectorize import STRATEGIES
 
 
@@ -419,7 +417,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"--weights must be comma-separated numbers, got {args.weights!r}"
             ) from None
-        weights = check_level_weights(weights, "--weights")
+        weights = _check_weights(weights, "--weights", ConfigError)
         log = _read_log(args.input, spec, wildcard)
         attribute = None if args.perspective == "activity" else args.perspective
         candidates = [_load_hierarchy(path, attribute, wildcard) for path in paths]
@@ -431,7 +429,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "validate":
-        check_k(args.k)
+        _check_k(args.k, ConfigError)
         log = _read_log(args.input, spec, wildcard)
         selected = [a.strip() for chunk in args.attr for a in chunk.split(",") if a.strip()]
         report = validate_k(log, selected, args.k)

@@ -7,9 +7,9 @@ without relying on any particular sort.
 
 Cell conventions on read: the configured wildcard literal maps to the
 canonical ``⋆``, and an empty cell maps to the missing-value literal
-``⊥``.  A row whose activity and attribute cells are all wildcards is an
-inserted padding event; every other event receives its position among
-the real events of its case as ``origin_index``.  A fully masked event
+``⊥``.  By the model's rules, an all-wildcard event is inserted padding
+and every other event receives its index among its case's real events as
+``origin_index`` (:func:`~pmdg.model._numbered`).  A fully masked event
 (all cells ``⋆`` *with* an origin) is therefore indistinguishable from
 padding once serialized — the one lossy corner of the format, flagged in
 ``write_log_csv``.  A function that takes the wildcard literal checks it
@@ -64,7 +64,7 @@ from .errors import (
     RaggedRow,
 )
 from .hierarchy import HierarchyTable
-from .model import MISSING, WILDCARD, EventLog, Trace, _check_k, _Memo, _nfc
+from .model import MISSING, WILDCARD, EventLog, Trace, _check_k, _Memo, _nfc, _numbered
 from .selection import _check_notion, _check_weights
 from .vectorize import STRATEGIES
 
@@ -89,22 +89,12 @@ def _paths(value: object, label: str) -> tuple[str, ...]:
     return paths
 
 
-def check_k(k: object) -> None:
-    """Raise :class:`ConfigError` unless ``k`` is an int of at least 1."""
-    _check_k(k, ConfigError)
-
-
 def check_wildcard(literal: object, label: str = "wildcard",
                    error: type[Exception] = ConfigError) -> None:
     """The package's one rule for the wildcard literal in files: raise ``error``
     unless it is a non-empty string other than ``⊥``, which reads as missing."""
     if not (isinstance(literal, str) and literal not in ("", MISSING)):
         raise error(f"{label} must be a non-empty string, not {MISSING!r}")
-
-
-def check_level_weights(raw: object, label: str) -> tuple[float, ...]:
-    """``raw`` as level weights, or :class:`ConfigError` (see ``selection._check_weights``)."""
-    return _check_weights(raw, label, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -259,13 +249,9 @@ def read_log_csv(
     traces = []
     for case_id, rows in cases.items():
         activities, *columns = map(share, zip(*rows))
-        origins = range(len(rows))
-        if WILDCARD in activities:  # an all-wildcard row is padding: no origin
-            count = iter(origins)
-            origins = [None if row.count(WILDCARD) == len(row) else next(count) for row in rows]
-        traces.append(Trace.from_columns(
-            case_id, activities, dict(zip(schema, columns)), share(tuple(origins))
-        ))
+        columns = dict(zip(schema, columns))
+        origins = share(_numbered(activities, columns))
+        traces.append(Trace.from_columns(case_id, activities, columns, origins))
     return EventLog(schema=schema, traces=tuple(traces))
 
 
@@ -466,12 +452,10 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
             case_id = f"{case_id}~{suffix}"
         else:
             last_suffix[case_id] = 1
-        width = len(activities)
         for key in schema[len(columns):]:  # first seen after this trace
-            columns[key] = share[(cells[""],) * width]
-        traces.append(
-            Trace.from_columns(case_id, activities, columns, share[tuple(range(width))])
-        )
+            columns[key] = share[(cells[""],) * len(activities)]
+        origins = share[_numbered(activities, columns)]
+        traces.append(Trace.from_columns(case_id, activities, columns, origins))
     return EventLog(schema=schema, traces=tuple(traces))
 
 
@@ -499,8 +483,8 @@ class PipelineConfig:
     becomes a one-path tuple, lists become tuples, attribute names take
     their NFC form, as the readers store a header, and weights become
     floats), then raises :class:`ConfigError` for the first field, in
-    field order, that breaks its rule: see :func:`check_k`,
-    :func:`check_level_weights` and :func:`check_wildcard`; every
+    field order, that breaks its rule: see ``model._check_k``, ``selection``'s
+    ``_check_notion`` and ``_check_weights`` and :func:`check_wildcard`; every
     quasi-identifier has hierarchies and ``csv`` is a :class:`LogCsvSpec`.
     """
 
@@ -519,7 +503,7 @@ class PipelineConfig:
         def normalize(name: str, value: object) -> None:
             object.__setattr__(self, name, value)
 
-        check_k(self.k)
+        _check_k(self.k, ConfigError)
         activity = _paths(self.activity_hierarchies, "activity_hierarchies")
         normalize("activity_hierarchies", activity)
         quasi = tuple(map(_nfc, _strings(
@@ -544,7 +528,8 @@ class PipelineConfig:
         _require(isinstance(self.vectorization, str) and self.vectorization in STRATEGIES,
                  f"vectorization must be one of {tuple(STRATEGIES)}")
         _check_notion(self.utility_notion, "utility_notion", ConfigError)
-        normalize("level_weights", check_level_weights(self.level_weights, "level_weights"))
+        weights = _check_weights(self.level_weights, "level_weights", ConfigError)
+        normalize("level_weights", weights)
         _require(isinstance(self.drop_singletons, bool), "drop_singletons must be a boolean")
         check_wildcard(self.wildcard, "wildcard")
         _require(isinstance(self.csv, LogCsvSpec), "csv must be a LogCsvSpec")

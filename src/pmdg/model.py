@@ -9,13 +9,13 @@ or location involved).  Two special literals appear throughout:
 * ``MISSING`` (``⊥``) — a recorded gap in the source data.
 
 Vectorization pads traces with *wildcard events* (all cells ``⋆``) so that
-every trace in a log has the same length.  Real events that survive
-vectorization remember their position in the pre-vectorization trace via
-``origin_index``; wildcard events never carry one.  In memory, that
-linkage keeps a real event that generalization masked entirely (every
-cell ``⋆``) apart from padding; acceptance criterion 3 checks it after
-vectorization.  Quality metrics do not use it: they match an anonymized
-event with its original by column or by order.
+every trace in a log has the same length.  An event is padding when every
+cell is ``⋆`` and it has no ``origin_index`` (:func:`_real`); the readers
+and vectorization give each real event without one its index among its
+trace's real events (:func:`_numbered`).  In memory, that linkage keeps a
+masked real event (every cell ``⋆``) apart from padding; acceptance
+criterion 3 checks it after vectorization.  Quality metrics do not use it:
+they match an anonymized event with its original by column or by order.
 
 A :class:`Trace` holds its events as columns: the activity tuple, the
 origin tuple and one value tuple per attribute; its padding positions
@@ -45,7 +45,7 @@ import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -68,15 +68,15 @@ def _nfc(text: str) -> str:
 class Event:
     """One event: an activity label plus one value per schema attribute.
 
-    ``origin_index`` is the event's position in its pre-vectorization
-    trace, or ``None`` for events that never went through vectorization
-    and for inserted wildcard events.
+    ``origin_index`` is the event's index among the real events of its
+    original trace (see :func:`_numbered`), or ``None`` for padding and
+    for an event built in code that was never read or vectorized.
 
-    ``is_wildcard`` is true for inserted padding events: every cell is
-    ``⋆`` and there is no origin linkage.  A real event that was fully
-    masked by generalization keeps its ``origin_index`` and is *not* a
-    wildcard event.  It is derived once, on construction, and takes no
-    part in equality or ``repr``.
+    ``is_wildcard`` is true for inserted padding events (see :func:`_real`):
+    every cell is ``⋆`` and there is no origin linkage.  A real event that
+    was fully masked by generalization keeps its ``origin_index`` and is
+    *not* a wildcard event.  It is derived once, on construction, and
+    takes no part in equality or ``repr``.
     """
 
     activity: str
@@ -121,6 +121,30 @@ class _NoColumns(dict):
 
 
 _NO_COLUMNS = MappingProxyType(_NoColumns())
+
+
+def _real(activities: Sequence[str], origins: Sequence[int | None],
+          columns: Mapping[str, Sequence[str]]) -> Sequence[int]:
+    """The padding rule: the positions of the events that are not padding
+    (every cell ``⋆`` and no origin)."""
+    real: Sequence[int] = range(len(activities))
+    if WILDCARD in activities:
+        padding = (WILDCARD, None, *[WILDCARD] * len(columns))
+        rows = zip(activities, origins, *columns.values())
+        real = tuple(compress(real, map(padding.__ne__, rows)))
+    return real
+
+
+def _numbered(activities: Sequence[str], columns: Mapping[str, Sequence[str]],
+              origins: Sequence[int | None] = ()) -> tuple[int | None, ...]:
+    """The numbering rule: ``origins`` (default none) with each real event
+    that has none given its index among the real events."""
+    numbered = list(origins or repeat(None, len(activities)))
+    if None in numbered:
+        for index, position in enumerate(_real(activities, numbered, columns)):
+            if numbered[position] is None:
+                numbered[position] = index
+    return tuple(numbered)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -207,12 +231,7 @@ class Trace:
     @property
     def real(self) -> Sequence[int]:
         if self._real is None:
-            real: Sequence[int] = range(len(self.activities))
-            if WILDCARD in self.activities:  # padding: all cells ``⋆``, no origin
-                padding = (WILDCARD, None, *[WILDCARD] * len(self.columns))
-                rows = zip(self.activities, self.origins, *self.columns.values())
-                real = tuple(compress(real, map(padding.__ne__, rows)))
-            object.__setattr__(self, "_real", real)
+            object.__setattr__(self, "_real", _real(self.activities, self.origins, self.columns))
         return self._real
 
     @property

@@ -46,9 +46,10 @@ columns:
   walk over the stored moves.
 
 Real events keep their identity through vectorization: each receives its
-position in the pre-vectorization trace as ``origin_index`` (preserving
-one it already carries), and projecting any output trace onto its
-origin-indexed events reproduces the input trace.
+index among the input trace's real events as ``origin_index`` (keeping
+one it already carries, see :func:`~pmdg.model._numbered`), and
+projecting any output trace onto its origin-indexed events reproduces
+the input trace.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import EmptyLog
-from .model import WILDCARD, EventLog, Trace, _map_bodies, _Memo, variants
+from .model import WILDCARD, EventLog, Trace, _map_bodies, _Memo, _numbered, variants
 
 # Traceback move codes.
 _DIAG, _UP, _LEFT = 0, 1, 2
@@ -104,21 +105,18 @@ def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) ->
     """Spread each trace's columns by ``gather_of(trace)`` (see
     :func:`_gather`), filling the other columns with wildcard padding,
     once per distinct trace body through :func:`~pmdg.model._map_bodies`,
-    which keys each output body once.  A real event without an origin
-    gets its position in the input trace."""
+    which keys each output body once.  Origins are numbered first, by
+    :func:`~pmdg.model._numbered`."""
     # (spread, column, filler) -> the output column, once per distinct key
     placed = _Memo(lambda key: key[0]((*key[1], key[2])))
 
     def build(trace: Trace) -> Trace:
-        spread, origins = gather_of(trace), trace.origins
-        if None in origins:
-            real = set(trace.real)
-            origins = tuple(p if o is None and p in real else o for p, o in enumerate(origins))
+        spread = gather_of(trace)
         return Trace.from_columns(
             trace.case_id,
             placed[spread, trace.activities, WILDCARD],
             {attr: placed[spread, trace.columns[attr], WILDCARD] for attr in log.schema},
-            placed[spread, origins, None],
+            placed[spread, _numbered(trace.activities, trace.columns, trace.origins), None],
         )
 
     return _map_bodies(log, build)

@@ -14,6 +14,7 @@ import random
 import unicodedata
 from collections import Counter
 from xml.etree import ElementTree
+from xml.sax.saxutils import quoteattr
 
 from pmdg import (
     MISSING,
@@ -494,12 +495,33 @@ def oracle_read_log_xes(path, wildcard=WILDCARD):
             case_id = f"{case_id}~{suffix}"
         else:
             last_suffix[case_id] = 1
-        traces.append(Trace(case_id, tuple(
-            Event(activity, {key: values.get(key, MISSING) for key in keys},
-                  origin_index=position)
-            for position, (activity, values) in enumerate(events)
-        )))
+        built, origin = [], 0  # an all-``⋆`` event is padding; the rest are numbered
+        for activity, values in events:
+            cells = {key: values.get(key, MISSING) for key in keys}
+            padding = activity == WILDCARD and all(v == WILDCARD for v in cells.values())
+            built.append(Event(activity, cells, origin_index=None if padding else origin))
+            origin += not padding
+        traces.append(Trace(case_id, built))
     return EventLog(schema=keys, traces=tuple(traces))
+
+
+def write_xes(log, path, wildcard=WILDCARD):
+    """``log`` as an XES file: one ``<string>`` per cell, ``⋆`` written as
+    ``wildcard``; origins are not written."""
+    def string(key, value):
+        value = wildcard if value == WILDCARD else value
+        return f"<string key={quoteattr(key)} value={quoteattr(value)}/>"
+
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n<log>']
+    for trace in log.traces:
+        parts.append(f"<trace>{string('concept:name', trace.case_id)}")
+        for event in trace.events:
+            cells = [("concept:name", event.activity), *event.attributes.items()]
+            parts.append(f"<event>{''.join(string(*cell) for cell in cells)}</event>")
+        parts.append("</trace>")
+    parts.append("</log>\n")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(parts))
 
 
 def _oracle_trace(trace_el, case_id, canonical, schema, path):

@@ -402,8 +402,31 @@ def test_search_control_flow_warns_at_the_top_activity_level(caplog):
         assert search_control_flow(log, activity, 1) == 0
         assert caplog.messages == []
         assert search_control_flow(log, activity, 2) == 2
-    [message] = caplog.messages
-    assert "k=2" in message and "below k hold 1 traces at level 1" in message
+        assert search_control_flow(log, activity, 3) == 2
+    two, three = caplog.messages
+    assert "k=2" in two and "below k hold 1 traces at level 1" in two
+    # At k=3 the class AB holds exactly k traces, so only C counts.
+    assert "k=3" in three and "below k hold 1 traces at level 1" in three
+
+
+def test_search_rechecks_the_node_it_returns(monkeypatch):
+    # A phase-2 walk that returns a node one level too low in its first
+    # generalized attribute: the re-check on the built log must catch it.
+    vectorized, activity, roles = clinic_setup()
+    first_hit = anonymize._first_hit
+
+    def one_level_low(columns, weights, k):
+        hit = first_hit(columns, weights, k)
+        if len(columns) == 1:  # phase 1
+            return hit
+        (flow, *levels), checked = hit
+        levels[next(i for i, level in enumerate(levels) if level)] -= 1
+        return (flow, *levels), checked
+
+    monkeypatch.setattr(anonymize, "_first_hit", one_level_low)
+    with pytest.raises(AssertionError,
+                       match="^internal error: chosen node fails its own k check$"):
+        search(vectorized, activity, roles, ["role"], 2)
 
 
 def test_search_rejects_unknown_selection():

@@ -1,12 +1,15 @@
 """Property tests of log I/O: CSV and XES files written from one
 generated log both read back as the log built directly with ``Event``,
 ``write_log_csv`` followed by ``read_log_csv`` gives the log back and
-writes the bytes of a one-trace-at-a-time writer, and on generated XES
-bytes ``read_log_xes`` agrees with the ``ElementTree`` oracle while
-``pmdg validate`` exits with a documented code."""
+writes the bytes of a one-trace-at-a-time writer, both readers and
+vectorization agree on which events are padding and how the real ones
+are numbered, and on generated XES bytes ``read_log_xes`` agrees with
+the ``ElementTree`` oracle while ``pmdg validate`` exits with a
+documented code."""
 
 import csv
 import io
+import random
 from xml.sax.saxutils import quoteattr
 
 from hypothesis import HealthCheck, example, given, settings
@@ -26,8 +29,15 @@ from pmdg import (
     write_log_csv,
 )
 from pmdg.cli import main
+from pmdg.vectorize import STRATEGIES
 
-from helpers import one_mapping_per_body, oracle_read_log_xes, oracle_write_csv
+from helpers import (
+    one_mapping_per_body,
+    oracle_read_log_xes,
+    oracle_write_csv,
+    random_instance,
+    write_xes,
+)
 
 # Decomposed and composed forms, a combining mark with no precomposed
 # form, quotes, both delimiters, XML specials, a line break, both
@@ -181,6 +191,39 @@ def test_csv_round_trip(tmp_path, written, delimiter):
     path = tmp_path / "log.csv"
     write_log_csv(log, path, spec, wildcard=wildcard)
     assert read_log_csv(path, spec, wildcard=wildcard) == _read_back(log)
+
+
+def _numbered_from_zero(log):
+    return all([t.origins[p] for p in t.real] == list(range(len(t.real))) for t in log.traces)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_readers_and_vectorization_number_the_same_real_events(tmp_path, seed, most):
+    # Padding (all ``⋆``, no origin) at random positions of a log without origins.
+    rng = random.Random(seed)
+    log, _, _ = random_instance(rng)
+    padding = Event(WILDCARD, dict.fromkeys(log.schema, WILDCARD))
+    traces = []
+    for trace in log.traces:
+        events = list(trace.events)
+        for _ in range(rng.randint(0, most)):
+            events.insert(rng.randint(0, len(events)), padding)
+        traces.append(Trace(trace.case_id, events))
+    log = EventLog(log.schema, tuple(traces))
+
+    write_log_csv(log, tmp_path / "log.csv")
+    write_xes(log, tmp_path / "log.xes")
+    from_csv = read_log_csv(tmp_path / "log.csv")
+    assert read_log_xes(tmp_path / "log.xes") == from_csv
+    assert _numbered_from_zero(from_csv)
+    for vectorize in STRATEGIES.values():
+        direct = vectorize(log)
+        assert [t.origins for t in direct.traces] == [
+            t.origins for t in vectorize(from_csv).traces
+        ]
+        assert _numbered_from_zero(direct)
 
 
 # Cells and case ids that need quoting under some delimiter, or none.
