@@ -119,20 +119,17 @@ def _load_hierarchy(path: str, attribute: str | None, wildcard: str) -> Hierarch
 
 
 def _pick_hierarchy(
-    log: EventLog,
-    paths: tuple[str, ...],
-    attribute: str | None,
-    config: PipelineConfig,
-) -> tuple[Hierarchy, str, tuple]:
+    log: EventLog, paths: tuple[str, ...], attribute: str | None, config: PipelineConfig
+) -> tuple[Hierarchy, dict]:
+    """The perspective's hierarchy and its manifest record: the chosen
+    ``path``, and every candidate's ``scores`` when there is a choice."""
     candidates = [_load_hierarchy(path, attribute, config.wildcard) for path in paths]
     if len(candidates) == 1:
-        return candidates[0], paths[0], ()
-    winner, profiles = select(
-        log, candidates, config.level_weights, config.utility_notion
-    )
-    return winner, paths[candidates.index(winner)], tuple(
+        return candidates[0], {"path": paths[0]}
+    winner, profiles = select(log, candidates, config.level_weights, config.utility_notion)
+    return winner, {"path": paths[candidates.index(winner)], "scores": [
         {"path": path, "total": profile.total} for path, profile in zip(paths, profiles)
-    )
+    ]}
 
 
 def run_pipeline(
@@ -183,21 +180,15 @@ def run_pipeline(
     timings["vectorize"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    attribute_hierarchies: dict = {}
-    chosen_paths: dict = {}
-    scores: dict = {}
-    for attr, paths in [(None, config.activity_hierarchies)] + [
-        (attr, config.attribute_hierarchies[attr]) for attr in config.quasi_identifiers
-    ]:
-        name = "activity" if attr is None else attr
-        attribute_hierarchies[attr], chosen_paths[name], found = _pick_hierarchy(
-            vectorized, paths, attr, config
+    activity_hierarchy, activity_record = _pick_hierarchy(
+        vectorized, config.activity_hierarchies, None, config
+    )
+    attribute_hierarchies, attribute_records = {}, {}
+    for attr in config.quasi_identifiers:
+        attribute_hierarchies[attr], attribute_records[attr] = _pick_hierarchy(
+            vectorized, config.attribute_hierarchies[attr], attr, config
         )
-        if found:
-            scores[name] = list(found)
-    if scores:
-        chosen_paths["scores"] = scores
-    activity_hierarchy = attribute_hierarchies.pop(None)
+    chosen = {"activity": activity_record, "attributes": attribute_records}
     timings["select_hierarchies"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -253,7 +244,7 @@ def run_pipeline(
             traces_read=traces_read,
             traces_kept=traces_kept,
             aligned_length=len(vectorized.traces[0]),
-            chosen_hierarchies=chosen_paths,
+            chosen_hierarchies=chosen,
             levels=result.chosen.as_dict(),
             nodes_evaluated=result.nodes_evaluated,
             variants_input=variants_input,

@@ -42,11 +42,11 @@ class HierarchyTable:
     log values are, so a leaf matches the log value it names whatever its
     encoding, and raises the :class:`~pmdg.errors.HierarchyFormatError`
     subclass naming the first rule violated: uniform row length, wildcard
-    root in the last column, unique leaves, and functional consistency
-    (equal values at level ``j`` stay equal at level ``j+1``, and cells
-    ``⋆`` and ``⊥``, unless a leaf, go where the data's ``⋆`` and ``⊥``
-    go).  The last check's maps from each level to the next are kept, and
-    :class:`Hierarchy` generalizes through them."""
+    root in the last column, no empty cell, unique leaves, and functional
+    consistency (equal values at level ``j`` stay equal at level ``j+1``,
+    and cells ``⋆`` and ``⊥``, unless a leaf, go where the data's ``⋆``
+    and ``⊥`` go).  The last check's maps from each level to the next are
+    kept, and :class:`Hierarchy` generalizes through them."""
 
     rows: tuple[tuple[str, ...], ...]
     # Level l's values, ``⋆`` and ``⊥`` -> level l+1's, as the check builds them.
@@ -71,6 +71,8 @@ class HierarchyTable:
                 raise MissingRoot(
                     f"row {number} ends in {row[-1]!r}, expected the wildcard {WILDCARD!r}"
                 )
+            if "" in row:  # a log file reads an empty cell as ``⊥``
+                raise HierarchyFormatError(f"row {number} has an empty cell")
         seen_leaves: set[str] = set()
         for number, row in enumerate(normalized, start=1):
             if row[0] == WILDCARD:

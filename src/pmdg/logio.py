@@ -250,7 +250,7 @@ def read_log_csv(
     for case_id, rows in cases.items():
         activities, *columns = map(share, zip(*rows))
         columns = dict(zip(schema, columns))
-        origins = share(_numbered(activities, columns))
+        origins = share(_numbered(case_id, activities, columns))
         traces.append(Trace.from_columns(case_id, activities, columns, origins))
     return EventLog(schema=schema, traces=tuple(traces))
 
@@ -454,7 +454,7 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
             last_suffix[case_id] = 1
         for key in schema[len(columns):]:  # first seen after this trace
             columns[key] = share[(cells[""],) * len(activities)]
-        origins = share[_numbered(activities, columns)]
+        origins = share[_numbered(case_id, activities, columns)]
         traces.append(Trace.from_columns(case_id, activities, columns, origins))
     return EventLog(schema=schema, traces=tuple(traces))
 

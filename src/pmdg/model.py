@@ -10,12 +10,14 @@ or location involved).  Two special literals appear throughout:
 
 Vectorization pads traces with *wildcard events* (all cells ``⋆``) so that
 every trace in a log has the same length.  An event is padding when every
-cell is ``⋆`` and it has no ``origin_index`` (:func:`_real`); the readers
-and vectorization give each real event without one its index among its
-trace's real events (:func:`_numbered`).  In memory, that linkage keeps a
-masked real event (every cell ``⋆``) apart from padding; acceptance
-criterion 3 checks it after vectorization.  Quality metrics do not use it:
-they match an anonymized event with its original by column or by order.
+cell is ``⋆`` and it has no ``origin_index`` (:func:`_real`).  A trace
+gives ``origin_index`` for all of its real events or for none, and the
+readers and vectorization number each real event of one that gives none
+by its index among them (:func:`_numbered`).  In memory, that linkage
+keeps a masked real event (every cell ``⋆``) apart from padding;
+acceptance criterion 3 checks it after vectorization.  Quality metrics do
+not use it: they match an anonymized event with its original by column
+or by order.
 
 A :class:`Trace` holds its events as columns: the activity tuple, the
 origin tuple and one value tuple per attribute; its padding positions
@@ -45,7 +47,7 @@ import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -135,15 +137,19 @@ def _real(activities: Sequence[str], origins: Sequence[int | None],
     return real
 
 
-def _numbered(activities: Sequence[str], columns: Mapping[str, Sequence[str]],
+def _numbered(case_id: str, activities: Sequence[str], columns: Mapping[str, Sequence[str]],
               origins: Sequence[int | None] = ()) -> tuple[int | None, ...]:
-    """The numbering rule: ``origins`` (default none) with each real event
-    that has none given its index among the real events."""
-    numbered = list(origins or repeat(None, len(activities)))
-    if None in numbered:
-        for index, position in enumerate(_real(activities, numbered, columns)):
-            if numbered[position] is None:
-                numbered[position] = index
+    """The numbering rule: a trace gives ``origins`` for all of its real
+    events or for none; with none, each real event gets its index among them."""
+    missing = origins.count(None)
+    if missing < len(origins):  # some are given
+        if missing and None in map(origins.__getitem__, _real(activities, origins, columns)):
+            raise ValueError(f"trace {case_id!r} gives origin_index for some of its real "
+                             f"events; give it for all of them or for none")
+        return tuple(origins)
+    numbered: list[int | None] = [None] * len(activities)
+    for index, position in enumerate(_real(activities, numbered, columns)):
+        numbered[position] = index
     return tuple(numbered)
 
 

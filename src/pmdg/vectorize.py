@@ -112,11 +112,12 @@ def _place(log: EventLog, width: int, gather_of: Callable[[Trace], Callable]) ->
 
     def build(trace: Trace) -> Trace:
         spread = gather_of(trace)
+        origins = _numbered(trace.case_id, trace.activities, trace.columns, trace.origins)
         return Trace.from_columns(
             trace.case_id,
             placed[spread, trace.activities, WILDCARD],
             {attr: placed[spread, trace.columns[attr], WILDCARD] for attr in log.schema},
-            placed[spread, _numbered(trace.activities, trace.columns, trace.origins), None],
+            placed[spread, origins, None],
         )
 
     return _map_bodies(log, build)

@@ -104,9 +104,55 @@ def test_run_pipeline_manifest_fields(workdir):
     assert manifest.tool_version.startswith("pmdg ")
     assert manifest.aligned_length == 4
     assert manifest.nodes_evaluated >= 2
-    assert manifest.chosen_hierarchies["activity"].endswith("act.csv")
+    assert manifest.chosen_hierarchies == {
+        "activity": {"path": str(workdir / "act.csv")},
+        "attributes": {"role": {"path": str(workdir / "role.csv")}},
+    }
     assert len(manifest.input_sha256) == 64
     assert len(manifest.config_sha256) == 64
+
+
+@pytest.mark.parametrize(
+    "name, activity_column", [("role", "activity"), ("activity", "act"), ("scores", "activity")]
+)
+def test_every_perspective_keeps_its_record_whatever_its_name(
+    tmp_path, name, activity_column
+):
+    """With two candidates for each perspective, a quasi-identifier named
+    ``activity`` or ``scores`` overwrites no record: the control flow and
+    the attribute each keep their chosen path and every candidate's score,
+    as under the name ``role``."""
+    (tmp_path / "log.csv").write_text(
+        CLINIC_CSV.replace("activity,role", f"{activity_column},{name}"), encoding="utf-8"
+    )
+    files = {
+        "act.csv": ACTIVITY_H,
+        "act_flat.csv": "".join(f"{row.split(',')[0]},⋆\n" for row in ACTIVITY_H.splitlines()),
+        "role.csv": ROLE_H,
+        "role_flat.csv": "Admin,⋆\nGP,⋆\nCA,⋆\n",
+    }
+    for file, text in files.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    (tmp_path / "config.yaml").write_text(
+        "k: 2\n"
+        f"quasi_identifiers: [{name}]\n"
+        f"activity_hierarchies: [{tmp_path / 'act.csv'}, {tmp_path / 'act_flat.csv'}]\n"
+        "attribute_hierarchies:\n"
+        f"  {name}: [{tmp_path / 'role.csv'}, {tmp_path / 'role_flat.csv'}]\n"
+        f"csv: {{activity_column: {activity_column}}}\n",
+        encoding="utf-8",
+    )
+    manifest = run_pipeline(load_config(tmp_path / "config.yaml"), str(tmp_path / "log.csv"))
+
+    def record(chosen, *scores):
+        return {"path": str(tmp_path / chosen), "scores": [
+            {"path": str(tmp_path / path), "total": total} for path, total in scores
+        ]}
+
+    assert manifest.chosen_hierarchies == {
+        "activity": record("act.csv", ("act.csv", 2.0), ("act_flat.csv", 1.0)),
+        "attributes": {name: record("role.csv", ("role.csv", 3.0), ("role_flat.csv", 1.0))},
+    }
 
 
 @pytest.mark.parametrize("k", [0, True])
@@ -719,6 +765,8 @@ FILE_FAILURES = [
       "--candidates", "{d}/rootless.csv"], 3,
      "pmdg: parse error: {d}/rootless.csv: row 1 ends in 'Staff', expected the "
      "wildcard '⋆'\n"),
+    ("hierarchy-empty-cell", {"role.csv": "Admin,,⋆\nGP,,⋆\nCA,,⋆\n"}, ANONYMIZE, 3,
+     "pmdg: parse error: {d}/role.csv: row 1 has an empty cell\n"),
     ("hierarchy-empty", {"empty.csv": "\n"},
      ["select-hierarchy", "--in", "{d}/log.csv", "--perspective", "role",
       "--candidates", "{d}/empty.csv"], 3,

@@ -58,11 +58,13 @@ def hierarchy_files(draw):
             row.pop()
         else:
             row[0] = WILDCARD
-    # Valid if the rows stay as wide as each other, end in the root and
-    # keep every role as a leaf: a middle cell may be anything, even empty.
+    # Valid if the rows stay as wide as each other, end in the root, keep
+    # every role as a leaf and have no cell empty after stripping: a middle
+    # cell may be anything else.
     valid = (len({len(row) for row in rows}) == 1
              and all(row[-1] == WILDCARD for row in rows)
-             and [row[0] for row in rows] == [row[0] for row in ROLE_ROWS])
+             and [row[0] for row in rows] == [row[0] for row in ROLE_ROWS]
+             and all(cell.strip() for row in rows for cell in row))
     codes = {0} if valid else {3}
     text = io.StringIO()
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))

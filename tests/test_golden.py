@@ -23,17 +23,17 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 PINNED = {
     "msa-variants": (
         "5c8b1679d0d483574ca417ebfb84aa7acdb3325c80e7b6b0a186796f8c117d8e",
-        "f06488039917bfeb64bd1b6ccd7cd366ef0f7f9b15392799e73c83474d6f1288",
+        "7902f6f31f790da81c88b6c71dc00b6943486c248022c56f5bc8312b221663cd",
         3,
     ),
     "bulk-dup": (
         "c0260dc4622ae865d7d9643b041e0396bdedb4de724125bd4642ba288558c2aa",
-        "5a833626631b28297ecac59c48bd2c1887be101c4afba10e70e42b1d34b61024",
+        "0642e6a74ed61d9414d8b4b3112591963517866662a4306ef5f997dd0197b683",
         15,
     ),
     "wide-xes": (
         "1c37ace1ed44b6381bb6012d43876b320d50f56be88ba7a0b058a719a36bb8d8",
-        "9609df2aa24a9339ce58ed5b7eb04ea080a20cfc6ab46f7385834b30b42818f6",
+        "5c8425bb0ce7ceae8607d30d3e88c7b366334d769c6a7e2a49b9f52129f1274f",
         75,
     ),
 }

@@ -74,6 +74,10 @@ def test_validate_table_errors():
         HierarchyTable([(WILDCARD, WILDCARD)])
     with pytest.raises(InconsistentDepth):
         HierarchyTable([("a",)])
+    # A log file reads an empty cell as ``⊥``, so no level value may be empty.
+    for rows in ([("a", "", WILDCARD)], [("a", " x", WILDCARD), ("  ", " x ", WILDCARD)]):
+        with pytest.raises(HierarchyFormatError, match=f"row {len(rows)} has an empty cell"):
+            HierarchyTable(rows)
 
 
 def test_hierarchy_table_is_checked_however_built():

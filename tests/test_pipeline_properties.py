@@ -101,8 +101,8 @@ def test_pipeline_output_is_k_anonymous_at_minimal_cost(
     cost, _ = oracle_minimal_cost(
         vectorized,
         manifest.levels["activity"],
-        by_path[chosen["activity"]],
-        {attr: by_path[chosen[attr]] for attr in qis},
+        by_path[chosen["activity"]["path"]],
+        {attr: by_path[chosen["attributes"][attr]["path"]] for attr in qis},
         qis,
         k,
     )

@@ -205,6 +205,17 @@ def test_vectorize_rejects_empty_log():
         vectorize_msa(empty)
 
 
+@pytest.mark.parametrize("strategy", [vectorize_naive, vectorize_msa])
+def test_vectorize_takes_origins_for_all_real_events_or_none(strategy):
+    some = EventLog((), (Trace.from_columns("c", ["A", "B"], {}, [1, None]),))
+    with pytest.raises(ValueError, match="trace 'c' gives origin_index for some of its real"):
+        strategy(some)
+    # Padding (all ``⋆``, no origin) is no real event: these origins are kept.
+    every = EventLog((), (Trace.from_columns("c", ["A", WILDCARD, "B"], {}, [1, None, 3]),))
+    out = strategy(every).traces[0]
+    assert [out.origins[position] for position in out.real] == [1, 3]
+
+
 def test_vectorize_single_variant_log_keeps_values():
     events = (Event("A", {"r": "x"}), Event("B", {"r": "y"}))
     log = EventLog(
