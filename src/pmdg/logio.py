@@ -16,18 +16,20 @@ padding once serialized — the one lossy corner of the format, flagged in
 first, by :func:`check_wildcard`, and raises ``ValueError``.
 
 Both log readers make one streaming pass over the file and build each
-trace's columns (see :class:`~pmdg.model.Trace`), never an element tree
-or an ``Event``.  The XES read holds the log it builds and one trace's
-events: one pair of ``pyexpat`` handlers builds a trace's columns at its
-``</trace>``.  The CSV read holds every case's rows, one tuple of cells
-each (equal rows share one), until the file ends, because a case's rows
-need not be contiguous, and builds the columns from them then.  Each distinct
-cell is canonicalized and NFC-normalized once per read, and every trace
-holding that value shares one string; equal columns share one tuple,
-and the cases of one body one ``columns`` mapping, as in every
-:class:`~pmdg.model.EventLog`.  Case ids are grouped and deduplicated
-on their NFC form, so the two Unicode spellings of a name are one case
-id, and so are attribute names.  A log file without events raises
+case's columns (see :class:`~pmdg.model.Trace`), never an element tree
+or an ``Event``.  The XES read holds the columns it parsed and one
+trace's events: one pair of ``pyexpat`` handlers builds a trace's
+columns at its ``</trace>``.  The CSV read holds every case's rows, one
+tuple of cells each (equal rows share one), until the file ends,
+because a case's rows need not be contiguous, and builds the columns
+from them then.  Each distinct cell is canonicalized and NFC-normalized
+once per read, and every trace holding that value shares one string;
+equal columns share one tuple.  Both hand their cases, in file order,
+to :func:`~pmdg.model._log_from_cases`, which numbers and builds each
+distinct body once, so the cases of one body share one ``columns``
+mapping, as in every :class:`~pmdg.model.EventLog`.  Case ids are
+grouped and deduplicated on their NFC form, so the two Unicode
+spellings of a name are one case id, and so are attribute names.  A log file without events raises
 :class:`EmptyLog`.  Both CSV readers skip a leading UTF-8 byte-order
 mark; the writer writes none.
 
@@ -64,7 +66,7 @@ from .errors import (
     RaggedRow,
 )
 from .hierarchy import HierarchyTable
-from .model import MISSING, WILDCARD, EventLog, Trace, _check_k, _Memo, _nfc, _numbered
+from .model import MISSING, WILDCARD, EventLog, _check_k, _Memo, _nfc, _log_from_cases
 from .selection import _check_notion, _check_weights
 from .vectorize import STRATEGIES
 
@@ -245,14 +247,9 @@ def read_log_csv(
             rows_of[row[case_at]].append(share(tuple(cells_of_row)))
         if not cases:
             raise EmptyLog("no event rows")
-    schema = tuple(map(_nfc, schema))
-    traces = []
-    for case_id, rows in cases.items():
-        activities, *columns = map(share, zip(*rows))
-        columns = dict(zip(schema, columns))
-        origins = share(_numbered(case_id, activities, columns))
-        traces.append(Trace.from_columns(case_id, activities, columns, origins))
-    return EventLog(schema=schema, traces=tuple(traces))
+    return _log_from_cases(tuple(map(_nfc, schema)), (
+        (case_id, *map(share, zip(*rows))) for case_id, rows in cases.items()
+    ))
 
 
 def _written_attributes(log: EventLog, path: str | Path, spec: LogCsvSpec) -> tuple[str, ...]:
@@ -329,9 +326,10 @@ def write_log_csv(
 
 
 def _parse_xes(handle: BinaryIO, cells: _Memo, share: _Memo) -> tuple:
-    """The traces with events of an XES file, each as its NFC case id, its
-    activities and its columns for the keys seen by its end, and the NFC
-    attribute keys in order of first sight.
+    """The traces with events of an XES file, each as ``(case_id,
+    activities, *columns)``: its NFC case id, its activity tuple and one
+    column per key seen by its end; and the NFC attribute keys in order
+    of first sight.
 
     One pair of ``pyexpat`` handlers tracks the depth: 1 is the root, 2
     its children (traces among them), 3 a trace's children (its events
@@ -343,7 +341,7 @@ def _parse_xes(handle: BinaryIO, cells: _Memo, share: _Memo) -> tuple:
     schema = _Memo()
     keys = _Memo(lambda raw: schema[_nfc(raw)])
     missing = cells[""]
-    traces: list[tuple[str, tuple[str, ...], dict[str, tuple[str, ...]]]] = []
+    traces: list[tuple] = []
     parser = expat.ParserCreate(None, "}")
     depth = position = 0
     case_id: str | None = None  # None outside a trace
@@ -389,10 +387,10 @@ def _parse_xes(handle: BinaryIO, cells: _Memo, share: _Memo) -> tuple:
                         f"event without concept:name in trace {nameless!r}"
                     )
                 if activities:
-                    traces.append((_nfc(case_id), share[tuple(activities)], {
-                        key: share[tuple([values.get(key, missing) for values in events])]
+                    traces.append((_nfc(case_id), share[tuple(activities)], *[
+                        share[tuple([values.get(key, missing) for values in events])]
                         for key in schema
-                    }))
+                    ]))
                     activities.clear()
                     events.clear()
                 case_id = None
@@ -439,24 +437,25 @@ def read_log_xes(path: str | Path, *, wildcard: str = WILDCARD) -> EventLog:
         if not parsed:
             raise EmptyLog("no events")
 
-    taken = {case_id for case_id, *_ in parsed}
-    last_suffix: dict[str, int] = {}
-    traces = []
-    for position, (case_id, activities, columns) in enumerate(parsed):
-        parsed[position] = None  # the parse state goes as its trace is built
-        if case_id in last_suffix:
-            suffix = last_suffix[case_id] + 1
-            while f"{case_id}~{suffix}" in taken:
-                suffix += 1
-            last_suffix[case_id] = suffix
-            case_id = f"{case_id}~{suffix}"
-        else:
-            last_suffix[case_id] = 1
-        for key in schema[len(columns):]:  # first seen after this trace
-            columns[key] = share[(cells[""],) * len(activities)]
-        origins = share[_numbered(case_id, activities, columns)]
-        traces.append(Trace.from_columns(case_id, activities, columns, origins))
-    return EventLog(schema=schema, traces=tuple(traces))
+    def cases() -> Iterator[tuple]:
+        taken = {case[0] for case in parsed}
+        last_suffix: dict[str, int] = {}
+        for position, case in enumerate(parsed):
+            parsed[position] = None  # the parse state goes as its case is handed on
+            case_id = case[0]
+            if case_id in last_suffix:
+                suffix = last_suffix[case_id] + 1
+                while f"{case_id}~{suffix}" in taken:
+                    suffix += 1
+                last_suffix[case_id] = suffix
+                case = (f"{case_id}~{suffix}", *case[1:])
+            else:
+                last_suffix[case_id] = 1
+            if late := len(schema) + 2 - len(case):  # keys first seen after this trace
+                case += (share[(cells[""],) * len(case[1])],) * late
+            yield case
+
+    return _log_from_cases(schema, cases())
 
 
 def read_hierarchy(path: str | Path, *, wildcard: str = WILDCARD) -> HierarchyTable:
@@ -547,7 +546,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     mapping of :class:`LogCsvSpec` field names; an absent key takes its
     field's default (``k`` and ``activity_hierarchies`` have none).  The
     constructors check every value, and each :class:`ConfigError` names
-    ``path``.
+    ``path``.  Hierarchy paths are kept as written, so a relative one
+    resolves against the working directory when the file is read, not
+    against the directory of ``path``.
     """
     with file_faults(path, undecodable=ConfigError), open(path, encoding="utf-8") as handle:
         raw = yaml.safe_load(handle)

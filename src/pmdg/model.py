@@ -11,8 +11,8 @@ or location involved).  Two special literals appear throughout:
 Vectorization pads traces with *wildcard events* (all cells ``⋆``) so that
 every trace in a log has the same length.  An event is padding when every
 cell is ``⋆`` and it has no ``origin_index`` (:func:`_real`).  A trace
-gives ``origin_index`` for all of its real events or for none, and the
-readers and vectorization number each real event of one that gives none
+gives ``origin_index`` for all of its real events or for none, and a
+read and vectorization number each real event of one that gives none
 by its index among them (:func:`_numbered`).  In memory, that linkage
 keeps a masked real event (every cell ``⋆``) apart from padding;
 acceptance criterion 3 checks it after vectorization.  Quality metrics do
@@ -33,6 +33,9 @@ first case with a body is kept as given, and every later one is stored
 as that trace renamed, sharing its columns.  A mapping always belongs to
 one body, so one body loop builds every log and runs each pass's work
 once per mapping, keying each result once, renaming a case at most once.
+A read is keyed the same way, before the build: both readers hand their
+cases, as columns, to :func:`_log_from_cases`, which numbers and builds each
+distinct body once and renames its first trace for every later case.
 
 All model types are immutable.  Strings are NFC-normalized on
 construction so that logs read from differently encoded files compare
@@ -335,6 +338,34 @@ def _map_bodies(log: EventLog, build: Callable[[Trace], Trace]) -> EventLog:
     """``log`` with each trace replaced by ``build(trace)``, called once per
     distinct body; :func:`_bodies` keys the result once."""
     return _stored_log(log.schema, _bodies(log.schema, log.traces, build))
+
+
+def _log_from_cases(schema: tuple[str, ...], cases: Iterable[tuple]) -> EventLog:
+    """The log of the cases a reader found, given in file order, each as
+    ``(case_id, activities, *columns)``: the NFC case id, the activity
+    tuple and one tuple per attribute of ``schema``, in its order.  The
+    readers make the case ids and the ``schema`` names NFC and unique, so
+    the log checks neither again.
+
+    A case is keyed on its body before it is numbered: the numbering rule
+    gives each distinct body its origins (equal origins share one tuple)
+    and the body is built once; every later case with it is stored as its
+    first trace renamed, as :func:`_bodies` stores every pass's output."""
+    first_of: dict[tuple, Trace] = {}  # activities and columns -> their first trace
+    shared_origins = _Memo()
+    stored = []
+    for case in cases:
+        case_id, body = case[0], case[1:]
+        first = first_of.get(body)
+        if first is None:
+            activities, *columns = body
+            columns = dict(zip(schema, columns))
+            origins = shared_origins[_numbered(case_id, activities, columns)]
+            trace = first_of[body] = Trace.from_columns(case_id, activities, columns, origins)
+        else:
+            trace = first._renamed(case_id)
+        stored.append(trace)
+    return _stored_log(schema, tuple(stored))
 
 
 @dataclass(frozen=True)

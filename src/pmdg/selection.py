@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import EmptyLog
 from .hierarchy import Hierarchy
 from .model import EventLog, _check_attributes
 
@@ -105,12 +106,15 @@ def select(
     Returns the winner together with every candidate's profile (in input
     order) so callers can report the comparison.  Ties prefer the
     shallower hierarchy, then the earlier candidate.  Bad weights or a bad
-    notion raise ``ValueError`` before any work.
+    notion raise ``ValueError`` before any work, and a log without traces
+    then raises :class:`~pmdg.errors.EmptyLog`, as vectorization does.
     """
     if not candidates:
         raise ValueError("no candidate hierarchies given")
     weights = _check_weights(weights)
     _check_notion(notion)
+    if not log.traces:
+        raise EmptyLog("cannot select a hierarchy for an empty log")
     perspectives = {h.attribute: h for h in candidates}  # extract each once
     sequences = {a: Counter(_value_sequences(log, h)) for a, h in perspectives.items()}
     profiles = tuple(_profile(sequences[h.attribute], h, weights, notion) for h in candidates)

@@ -34,7 +34,9 @@ from pmdg import (
     write_log_csv,
 )
 
-from helpers import one_mapping_per_body, random_instance, repeated_bodies
+from pmdg.model import _numbered
+
+from helpers import one_mapping_per_body, random_instance, repeated_bodies, write_xes
 from test_cli_properties import WRONG
 
 
@@ -638,3 +640,147 @@ def test_readers_hold_one_columns_mapping_per_repeated_body(tmp_path):
             assert [t.case_id for t in log.traces] == [t.case_id for t in raw.traces]
             assert one_mapping_per_body(log)
             assert len({id(t.columns) for t in log.traces}) <= len(raw.traces) // 2
+
+
+CAFE, CAFE_DECOMPOSED = "Caf\u00e9", "Cafe\u0301"
+
+# Cases interleaved, one case id in two Unicode forms, padding rows
+# (every cell ``*``), a padding-only case and a repeated body.
+READ_CSV = f"""case,activity,role,unit
+c1,A,GP,x
+c2,A,GP,x
+c1,B,*,
+{CAFE},A,GP,x
+c2,B,*,
+{CAFE_DECOMPOSED},B,*,
+c3,*,*,*
+c3,A,GP,x
+c3,*,*,*
+c3,B,*,
+c4,*,*,*
+c5,A,GP,x
+c5,B,*,
+"""
+
+READ_CSV_CASES = (
+    ("c1", ("A", "B"), ("GP", WILDCARD), ("x", MISSING)),
+    ("c2", ("A", "B"), ("GP", WILDCARD), ("x", MISSING)),
+    (CAFE, ("A", "B"), ("GP", WILDCARD), ("x", MISSING)),
+    ("c3", (WILDCARD, "A", WILDCARD, "B"), (WILDCARD, "GP", WILDCARD, WILDCARD),
+     (WILDCARD, "x", WILDCARD, MISSING)),
+    ("c4", (WILDCARD,), (WILDCARD,), (WILDCARD,)),
+    ("c5", ("A", "B"), ("GP", WILDCARD), ("x", MISSING)),
+)
+
+
+def _xes_trace(case_id, *events):
+    """One ``<trace>``: each event an activity and its ``{key: value}`` cells."""
+    def strings(cells):
+        return "".join(f'<string key="{k}" value="{v}"/>' for k, v in cells)
+
+    return f'<trace>{strings([("concept:name", case_id)])}' + "".join(
+        f'<event>{strings([("concept:name", activity), *cells.items()])}</event>'
+        for activity, cells in events
+    ) + "</trace>"
+
+
+# Case ids repeated, also in two Unicode forms; an all-``*`` event before
+# the late key ``shift`` is real (its ``shift`` reads ``⊥``), one after it
+# is padding.
+_AB = (("A", {"role": "GP", "unit": "x"}), ("B", {"role": "*"}))
+_PADDED = (("*", {"role": "*", "unit": "*", "shift": "*"}),
+           ("A", {"role": "GP", "unit": "x", "shift": "s"}))
+READ_XES = "<log>" + "".join([
+    _xes_trace("c1", *_AB),
+    _xes_trace(CAFE, *_AB),
+    _xes_trace("c3", ("*", {"role": "*", "unit": "*"}), *_AB),
+    _xes_trace(CAFE_DECOMPOSED, *_AB),
+    _xes_trace("c5", *_PADDED),
+    _xes_trace("c6", *_PADDED),
+    _xes_trace("c1", *_AB),
+]) + "</log>"
+
+_AB_COLUMNS = (("A", "B"), ("GP", WILDCARD), ("x", MISSING), (MISSING, MISSING))
+_PADDED_COLUMNS = ((WILDCARD, "A"), (WILDCARD, "GP"), (WILDCARD, "x"), (WILDCARD, "s"))
+READ_XES_CASES = (
+    ("c1", *_AB_COLUMNS),
+    (CAFE, *_AB_COLUMNS),
+    ("c3", (WILDCARD, "A", "B"), (WILDCARD, "GP", WILDCARD), (WILDCARD, "x", MISSING),
+     (MISSING,) * 3),
+    (f"{CAFE}~2", *_AB_COLUMNS),
+    ("c5", *_PADDED_COLUMNS),
+    ("c6", *_PADDED_COLUMNS),
+    ("c1~2", *_AB_COLUMNS),
+)
+
+
+def _per_case(schema, cases):
+    """The log of ``(case_id, activities, *columns)`` cases built one case
+    at a time: each numbered and built on its own, then stored by ``EventLog``."""
+    traces = []
+    for case_id, activities, *columns in cases:
+        columns = dict(zip(schema, columns))
+        origins = _numbered(case_id, activities, columns)
+        traces.append(Trace.from_columns(case_id, activities, columns, origins))
+    return EventLog(schema, traces)
+
+
+def _assert_read_as_per_case(log, expected):
+    assert log == expected
+    assert [(t.case_id, t.origins, dict(t.columns)) for t in log.traces] == [
+        (t.case_id, t.origins, dict(t.columns)) for t in expected.traces
+    ]
+    assert one_mapping_per_body(log)
+
+
+def _read_fixtures(tmp_path):
+    """The CSV and XES fixtures read with wildcard ``*``, each with its
+    schema, its cases and the case ids that first show a body."""
+    csv_path = write(tmp_path / "read.csv", READ_CSV)
+    xes_path = write(tmp_path / "read.xes", READ_XES)
+    return [
+        (lambda: read_log_csv(csv_path, wildcard="*"), ("role", "unit"), READ_CSV_CASES,
+         ["c1", "c3", "c4"]),
+        (lambda: read_log_xes(xes_path, wildcard="*"), ("role", "unit", "shift"),
+         READ_XES_CASES, ["c1", "c3", "c5"]),
+    ]
+
+
+def test_readers_match_the_per_case_construction(tmp_path):
+    for read, schema, cases, firsts in _read_fixtures(tmp_path):
+        log = read()
+        _assert_read_as_per_case(log, _per_case(schema, cases))
+        assert len({id(t.columns) for t in log.traces}) == len(firsts)
+    assert [t.origins for t in read_log_csv(tmp_path / "read.csv", wildcard="*")] == [
+        (0, 1), (0, 1), (0, 1), (None, 0, None, 1), (None,), (0, 1),
+    ]
+    assert [t.origins for t in read_log_xes(tmp_path / "read.xes", wildcard="*")] == [
+        (0, 1), (0, 1), (0, 1, 2), (0, 1), (None, 0), (None, 0), (0, 1),
+    ]
+    # Random vectorized logs with repeated bodies, written with ``*``.
+    rng = random.Random(41)
+    for i in range(10):
+        raw = random_instance(rng)[0]
+        written = vectorize_msa(repeated_bodies(rng, raw))
+        cases = [(t.case_id, t.activities, *map(t.columns.__getitem__, written.schema))
+                 for t in written.traces]
+        write_log_csv(written, tmp_path / f"random{i}.csv", wildcard="*")
+        write_xes(written, tmp_path / f"random{i}.xes", wildcard="*")
+        for log in (read_log_csv(tmp_path / f"random{i}.csv", wildcard="*"),
+                    read_log_xes(tmp_path / f"random{i}.xes", wildcard="*")):
+            _assert_read_as_per_case(log, _per_case(written.schema, cases))
+
+
+def test_readers_build_each_distinct_body_once(tmp_path, monkeypatch):
+    built = []
+    from_columns = Trace.from_columns
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return from_columns(*args, **kwargs)
+
+    monkeypatch.setattr(Trace, "from_columns", counted)
+    for read, _, cases, firsts in _read_fixtures(tmp_path):
+        built.clear()
+        assert len(read()) == len(cases)
+        assert built == firsts

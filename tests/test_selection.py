@@ -5,6 +5,7 @@ import pytest
 
 from pmdg import (
     WILDCARD,
+    EmptyLog,
     Event,
     EventLog,
     Hierarchy,
@@ -149,6 +150,13 @@ def test_select_tie_breaks_shallower_then_input_order():
 def test_select_requires_candidates():
     with pytest.raises(ValueError):
         select(clinic_log(), [])
+
+
+@pytest.mark.parametrize("notion", ["class_count", "size_balance"])
+def test_select_on_a_log_without_traces_raises_empty_log(notion):
+    activity, role, _ = clinic_hierarchies()
+    with pytest.raises(EmptyLog, match="empty log"):
+        select(EventLog(schema=("role",)), [activity, role], notion=notion)
 
 
 def test_select_on_random_logs_is_deterministic():
