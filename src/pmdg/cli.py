@@ -356,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anonymized", required=True)
     p.add_argument("--attr", required=True, type=_nfc)
     p.add_argument("--hierarchy", required=True)
-    p.add_argument("--aggregate", choices=("occurrences", "pairs"),
-                   default="occurrences")
     p.add_argument(
         "--strategy", choices=STRATEGIES, default="msa",
         help="vectorization strategy the anonymized log was built with",
@@ -454,12 +452,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             _check_attributes(anonymized, (args.attr,), "anonymized log")
             hierarchy = _load_hierarchy(args.hierarchy, args.attr, wildcard)
             # A re-read file turns fully masked events into padding, so
-            # match by column against a fresh (deterministic)
-            # vectorization of the original.
+            # match by position against a fresh (deterministic)
+            # vectorization of the log ``anonymize`` vectorized: the cases
+            # it kept, if the anonymized log holds just those.
+            kept = drop_singleton_variants(log)
+            if {t.case_id for t in anonymized.traces} == {t.case_id for t in kept.traces}:
+                log = kept
             vectorized = STRATEGIES[args.strategy](log)
-            value = handover_precision(
-                vectorized, anonymized, args.attr, hierarchy, aggregate=args.aggregate
-            )
+            value = handover_precision(vectorized, anonymized, args.attr, hierarchy)
             print(f"{value:.1f}")
             return 0
 

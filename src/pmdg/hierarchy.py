@@ -213,7 +213,7 @@ class Hierarchy:
 @dataclass(frozen=True)
 class LevelVector:
     """One node of the generalization lattice: a global level for the
-    activity perspective plus one per generalized attribute."""
+    activity perspective plus one per generalized attribute; hashed by value."""
 
     activity_level: int = 0
     attribute_levels: Mapping[str, int] = field(default_factory=dict)
@@ -225,6 +225,9 @@ class LevelVector:
         for level in (self.activity_level, *self.attribute_levels.values()):
             if not _is_level(level):
                 raise ValueError(f"generalization levels must be integers >= 0, got {level!r}")
+
+    def __hash__(self) -> int:
+        return hash((self.activity_level, tuple(sorted(self.attribute_levels.items()))))
 
     @property
     def cost(self) -> int:

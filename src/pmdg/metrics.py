@@ -21,12 +21,12 @@ Two views of how much analysis value survives anonymization:
   ``handover_precision`` averages this over a whole log pair, scoring
   each distinct (``e``, ``e'``) endpoint once, and scales to a percentage.
 
-Generalized events are matched to their originals by column, or by
-order among the non-padding events when the original is the narrower
-pre-vectorization log (see :func:`_handovers`); a case or event count
-that cannot be matched raises :class:`LinkageBroken`.  Cases are matched
-one by one, but the events of each distinct (original, image) pair of
-trace bodies are paired once and weighted by its number of cases.
+Generalized events are matched to their originals by position when the
+anonymized trace keeps the original's layout, and otherwise by order
+among its non-padding events (see :func:`_handovers`); a case or event
+count that cannot be matched raises :class:`LinkageBroken`.  Cases are
+matched one by one, but the events of each distinct (original, image)
+pair of trace bodies are paired once and weighted by its number of cases.
 """
 
 from __future__ import annotations
@@ -109,23 +109,24 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
     """Pair up every consecutive-event handover of the original log with
     its image in the anonymized log, and count each ``(o1, o2, g1, g2)``.
 
-    Cases are matched by id and events by column.  When the original
-    trace is as wide as its image (the vectorized log, or a trace that
-    filled every column), an original event's image is the anonymized
-    event in the same column — a padding event there means it was
-    masked.  Otherwise the original's real events map, in order, onto
-    the image's non-padding events; this holds for the pre-vectorization
-    log against the in-memory anonymized log, where masked events keep
-    their ``origin_index`` and so are not padding.
+    Cases are matched by id.  The one pairing rule: when the image keeps
+    the original's layout, an original real event's image is the
+    anonymized event at the same position, and a padding event there
+    means it was masked.  The image keeps the layout when it has the
+    original's ``origins`` (the vectorized log against the in-memory
+    result, where masked events keep their ``origin_index``) or when each
+    of its non-padding events sits at one of the original's real
+    positions (a re-read file, where masked events came back as padding).  Otherwise the original's real events
+    map, in order, onto the image's non-padding events: the
+    pre-vectorization log, or a vectorization with another layout.
 
     A log holds one ``columns`` mapping per distinct body (see
     :class:`~pmdg.model.EventLog`), so each distinct pair of original and
-    image mappings has its event counts checked at its first case, and its
-    events paired once, at the end, its handovers counting once per case.
+    image mappings has its events checked at its first case, and paired
+    once, at the end, its handovers counting once per case.
 
     Raises :class:`LinkageBroken`, in log order, when a case is missing
-    or the event counts differ — e.g. a pre-vectorization log against a
-    re-read file, where fully masked events came back as padding.
+    or the image lacks an event for one of the original's real events.
     """
     _check_attributes(original, (attribute,), "original log")
     _check_attributes(anonymized, (attribute,), "anonymized log")
@@ -141,11 +142,16 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
         key = (id(trace.columns), id(image.columns))
         if key not in firsts:
             real = trace.real
-            shown = real if len(image.activities) == len(trace.activities) else image.real
-            if len(real) != len(shown):
+            # In memory the image has the trace's very ``origins``; with as
+            # many non-padding events as real ones, both pairings agree.
+            kept = (image.origins is trace.origins or image.origins == trace.origins
+                    or len(image.real) < len(real) and set(image.real).issubset(real))
+            shown = real if kept else image.real
+            # A kept layout still needs an image event at each real position.
+            if len(real) != len(shown) or shown and shown[-1] >= len(image.activities):
                 raise LinkageBroken(
                     f"case {trace.case_id!r}: {len(real)} original events but "
-                    f"{len(shown)} non-padding events in the anonymized log"
+                    f"{len(image.real)} non-padding events in the anonymized log"
                 )
             firsts[key] = (trace, image, shown)
         cases[key] += 1
@@ -163,23 +169,15 @@ def _handovers(original: EventLog, anonymized: EventLog, attribute: str) -> Coun
 
 
 def handover_precision(
-    original: EventLog,
-    anonymized: EventLog,
-    attribute: str,
-    hierarchy: Hierarchy,
-    aggregate: str = "occurrences",
+    original: EventLog, anonymized: EventLog, attribute: str, hierarchy: Hierarchy
 ) -> float:
     """Average handover preservation over a log pair, as a percentage.
 
     Pairs come from :func:`_handovers`, so ``original`` may be the
-    pre-vectorization log or its vectorization.
-    ``aggregate="occurrences"`` weighs every observed handover equally;
-    ``aggregate="pairs"`` averages over distinct (original, generalized)
-    value-pair combinations instead, so frequent handovers do not
-    dominate.  No handovers at all scores 100.0: nothing existed to lose.
+    pre-vectorization log or its vectorization.  Every handover counts
+    once per occurrence.  No handovers at all scores 100.0: nothing
+    existed to lose.
     """
-    if aggregate not in ("occurrences", "pairs"):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
     counts = _handovers(original, anonymized, attribute)
     if not counts:
         return 100.0
@@ -190,8 +188,6 @@ def handover_precision(
         for endpoint in ((o1, g1), (o2, g2)):
             if endpoint not in scores:
                 scores[endpoint] = _endpoint(hierarchy, *endpoint)
-        if aggregate == "pairs":
-            count = 1
         total += count * ((scores[o1, g1] + scores[o2, g2]) / 2.0)
         weight += count
     return 100.0 * total / weight

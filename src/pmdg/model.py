@@ -15,9 +15,9 @@ gives ``origin_index`` for all of its real events or for none, and a
 read and vectorization number each real event of one that gives none
 by its index among them (:func:`_numbered`).  In memory, that linkage
 keeps a masked real event (every cell ``⋆``) apart from padding;
-acceptance criterion 3 checks it after vectorization.  Quality metrics do
-not use it: they match an anonymized event with its original by column
-or by order.
+acceptance criterion 3 checks it after vectorization.  Quality metrics
+use it only to see whether an anonymized trace keeps its original's
+layout (see :func:`pmdg.metrics._handovers`).
 
 A :class:`Trace` holds its events as columns: the activity tuple, the
 origin tuple and one value tuple per attribute; its padding positions

@@ -300,17 +300,21 @@ def oracle_minimal_cost(vectorized, activity_level, activity_h, attr_hs, selecte
 def oracle_handovers(original, anonymized, attribute):
     """Every consecutive-event handover of the original log with its image,
     as ``(o1, o2, g1, g2)`` tuples, one trace at a time and through the
-    ``Event`` view: an original event's image is the event in its column
-    when both traces are equally wide, otherwise the image's non-padding
-    events are taken in order.  Linkage faults are not checked."""
+    ``Event`` view: an original event's image is the event at its position
+    when the image keeps the trace's layout (the same origin indexes, or
+    non-padding events only at the trace's real positions), otherwise the
+    image's non-padding events are taken in order.  Linkage faults are
+    not checked."""
     images = {trace.case_id: trace for trace in anonymized.traces}
     for trace in original.traces:
         image = images[trace.case_id]
         real = [p for p, event in enumerate(trace.events) if not event.is_wildcard]
-        if len(image) == len(trace):
+        kept = [p for p, event in enumerate(image.events) if not event.is_wildcard]
+        origins = [[event.origin_index for event in t.events] for t in (trace, image)]
+        if origins[0] == origins[1] or set(kept) <= set(real):
             shown = [image.events[p] for p in real]
         else:
-            shown = [event for event in image.events if not event.is_wildcard]
+            shown = [image.events[p] for p in kept]
         before = [trace.events[p].attributes[attribute] for p in real]
         after = [event.attributes[attribute] for event in shown]
         yield from zip(before, before[1:], after, after[1:])

@@ -446,6 +446,31 @@ def test_metrics_commands(workdir, capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "66.7"
 
 
+def test_handover_precision_follows_the_layout_not_the_width(tmp_path, capsys):
+    # MSA aligns the short cases as A, ⋆, C and naive padding as A, C, ⋆:
+    # both are 3 wide, yet only the MSA layout pairs by position.
+    rows = [f"l{i},{a},{r}" for i in range(4) for a, r in (("A", "x"), ("B", "y"), ("C", "z"))]
+    rows += [f"s{i},{a},{r}" for i in range(4) for a, r in (("A", "x"), ("C", "z"))]
+    (tmp_path / "log.csv").write_text("case,activity,role\n" + "\n".join(rows) + "\n",
+                                      encoding="utf-8")
+    (tmp_path / "act.csv").write_text("A,A,⋆\nB,B,⋆\nC,C,⋆\n", encoding="utf-8")
+    (tmp_path / "role.csv").write_text("x,g,⋆\ny,g,⋆\nz,g,⋆\n", encoding="utf-8")
+    (tmp_path / "config.yaml").write_text(
+        _config_text(tmp_path, k="4", extra="vectorization: msa\n"), encoding="utf-8"
+    )
+    manifest = run_pipeline(load_config(tmp_path / "config.yaml"), str(tmp_path / "log.csv"),
+                            str(tmp_path / "anon.csv"))
+    assert f"{manifest.handover_precision['role']:.1f}" == "100.0"
+    for strategy in STRATEGIES:
+        capsys.readouterr()
+        assert main([
+            "metrics", "handover-precision", "--in", str(tmp_path / "log.csv"),
+            "--anonymized", str(tmp_path / "anon.csv"), "--attr", "role",
+            "--hierarchy", str(tmp_path / "role.csv"), "--strategy", strategy,
+        ]) == 0
+        assert capsys.readouterr().out.strip() == "100.0", strategy
+
+
 def test_unicode_case_id_forms_are_one_case(tmp_path, capsys):
     path = tmp_path / "forms.csv"
     path.write_text(

@@ -272,6 +272,15 @@ def test_level_vector_cost():
         LevelVector(-1)
 
 
+def test_level_vector_is_hashable_by_value():
+    first = LevelVector(1, {"r": 0, "s": 2})
+    second = LevelVector(1, {"s": 2, "r": 0})
+    assert list(first.attribute_levels) != list(second.attribute_levels)
+    assert hash(first) == hash(second)
+    assert {first, second} == {first}
+    assert len({first, LevelVector(1, {"r": 1, "s": 2})}) == 2
+
+
 def test_apply_to_log_level_zero_is_identity():
     log = clinic_log()
     activity, role, _ = clinic_hierarchies()

@@ -23,6 +23,7 @@ from pmdg import (
     remaining_variants,
     search,
     vectorize_msa,
+    vectorize_naive,
     write_log_csv,
 )
 from pmdg import metrics
@@ -158,21 +159,13 @@ def test_handover_precision_pair_aggregation():
         ),
     )
     by_occurrence = handover_precision(original, generalized, "role", role)
-    by_pairs = handover_precision(original, generalized, "role", role,
-                                  aggregate="pairs")
-    # Identical handovers repeated five times: both aggregations agree.
-    assert abs(by_occurrence - by_pairs) < 1e-12
     assert abs(by_occurrence - 100.0 * 2.0 / 3.0) < 1e-9
-    # One untouched handover more counts once among six occurrences but
-    # as one of two distinct pairs.
+    # One untouched handover more counts once among six occurrences.
     untouched = Trace("5", (Event("A", {"role": "Admin"}), Event("B", {"role": "GP"})))
     original = EventLog(("role",), original.traces + (untouched,))
     generalized = EventLog(("role",), generalized.traces + (untouched,))
     by_occurrence = handover_precision(original, generalized, "role", role)
-    by_pairs = handover_precision(original, generalized, "role", role,
-                                  aggregate="pairs")
     assert abs(by_occurrence - 100.0 * (5 * 2 / 3 + 1) / 6) < 1e-9
-    assert abs(by_pairs - 100.0 * (2 / 3 + 1) / 2) < 1e-9
 
 
 def test_handover_precision_linkage_errors(tmp_path):
@@ -200,6 +193,14 @@ def test_handover_precision_linkage_errors(tmp_path):
         handover_precision(original, read_log_csv(path), "role", role)
     with pytest.raises(UnknownAttribute):
         handover_precision(original, original, "ghost", role)
+    # An image whose events all sit at the original's real positions but
+    # that ends before its last one lacks that event.
+    padded = EventLog(("role",), (Trace("1", (
+        Event("A", {"role": "GP"}), Event(WILDCARD, {"role": WILDCARD}), Event("B", {"role": "CA"}),
+    )),))
+    narrow = EventLog(("role",), (Trace("1", (Event("A", {"role": "GP"}),)),))
+    with pytest.raises(LinkageBroken, match="2 original events but 1 non-padding"):
+        handover_precision(padded, narrow, "role", role)
 
 
 def test_handover_pairs_agree_on_all_input_forms(tmp_path):
@@ -221,7 +222,10 @@ def test_handover_pairs_agree_on_all_input_forms(tmp_path):
             _handovers(vectorized, result.anonymized, attr),
             _handovers(vectorized, reread, attr),
         ]
-        assert forms[0] == forms[1] == forms[2]
+        # With no event masked, the naive layout pairs in order with the file's.
+        if sum(len(t.real) for t in reread.traces) == sum(len(t.real) for t in log.traces):
+            forms.append(_handovers(vectorize_naive(log), reread, attr))
+        assert all(form == forms[0] for form in forms)
         assert forms[0] == Counter(oracle_handovers(log, result.anonymized, attr))
 
 
@@ -262,7 +266,7 @@ def test_handovers_pair_each_distinct_pair_of_bodies_once(monkeypatch):
     assert shared >= 10
 
 
-def _oracle_precision(original, anonymized, attribute, hierarchy, aggregate):
+def _oracle_precision(original, anonymized, attribute, hierarchy):
     """``handover_precision`` as one ``handover_preservation`` per pair, summed
     in ``sorted`` order of the ``HandoverPair`` counts of a per-trace pairing."""
     counts = Counter(
@@ -273,8 +277,6 @@ def _oracle_precision(original, anonymized, attribute, hierarchy, aggregate):
         return 100.0
     total = weight = 0.0
     for pair, count in sorted(counts.items()):
-        if aggregate == "pairs":
-            count = 1
         total += count * handover_preservation(pair, hierarchy)
         weight += count
     return 100.0 * total / weight
@@ -293,18 +295,10 @@ def test_handover_precision_is_bit_identical_to_per_pair_oracle():
         anonymized = apply_to_log(vectorized, levels, activity, attr_hs)
         for original in (log, vectorized):
             for attr, hierarchy in attr_hs.items():
-                for aggregate in ("occurrences", "pairs"):
-                    # ``==``, not approx: manifests print this value.
-                    assert handover_precision(
-                        original, anonymized, attr, hierarchy, aggregate
-                    ) == _oracle_precision(original, anonymized, attr, hierarchy, aggregate)
-
-
-def test_handover_precision_unknown_aggregate():
-    _, role, _ = clinic_hierarchies()
-    log = clinic_log()
-    with pytest.raises(ValueError):
-        handover_precision(log, log, "role", role, aggregate="mean")
+                # ``==``, not approx: manifests print this value.
+                assert handover_precision(
+                    original, anonymized, attr, hierarchy
+                ) == _oracle_precision(original, anonymized, attr, hierarchy)
 
 
 def test_export_dot_deterministic(tmp_path):
